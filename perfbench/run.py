@@ -39,7 +39,7 @@ END_TO_END_UNITS = {
     "error_frac": "ratio", "area_cells_mean": "cells", "makespan_s_mean": "s",
     "fti_mean": "ratio", "routability_mean": "ratio",
     "realized_makespan_s_mean": "s", "peak_rss_mb": "MB", "jobs": "count",
-    "recovery_samples": "count", "wall_raw_s": "s",
+    "recovery_samples": "count", "wall_raw_s": "s", "setup_raw_s": "s",
 }
 
 
@@ -66,15 +66,17 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def cold_setup_s(args) -> float:
-    """Set-up time of a fresh interpreter running the same workload."""
+def cold_setup(args) -> tuple[float, float]:
+    """Scaled and raw set-up time of a fresh interpreter running the
+    same workload."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()),
          "--workload", args.workload, "--seed", str(args.seed),
          "--seconds", str(args.seconds), "--setup-only"],
         cwd=ROOT, capture_output=True, text=True, timeout=150, check=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return result["setup_s"], result["setup_raw_s"]
 
 
 def main(argv=None) -> int:
@@ -84,6 +86,11 @@ def main(argv=None) -> int:
         print(f"error: the program's source is missing: {src / 'repro'}", file=sys.stderr)
         return 2
     sys.path[:0] = [str(src), str(HERE)]
+    import speed
+
+    p0 = time.perf_counter()
+    before = speed.probe()
+    probing = time.perf_counter() - p0
     from harness import (
         cause_counts, end_to_end, lost_jobs, outcome_mismatches, passes_for,
         per_layer, run_phase,
@@ -98,9 +105,11 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload](args.seed)
     workload.setup()
     workload.warmup()
-    setup_s = time.perf_counter() - T0
+    setup_raw_s = time.perf_counter() - T0 - probing
+    # Scaled like the job times, by probes at both ends of the set-up.
+    setup_s = setup_raw_s * speed.scale(before, speed.probe())
     if args.setup_only:
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps({"setup_s": setup_s, "setup_raw_s": setup_raw_s}))
         return 0
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -128,8 +137,10 @@ def main(argv=None) -> int:
         units = {name: layer_unit(name) for name in metrics}
         wanted = spec["per_layer"]
     else:
-        setups = [setup_s] + [cold_setup_s(args) for _ in range(SETUP_REPEATS - 1)]
-        metrics = end_to_end(untraced, statistics.median(setups))
+        setups = [(setup_s, setup_raw_s)]
+        setups += [cold_setup(args) for _ in range(SETUP_REPEATS - 1)]
+        metrics = end_to_end(untraced, statistics.median(s for s, _ in setups))
+        metrics["setup_raw_s"] = statistics.median(raw for _, raw in setups)
         units = END_TO_END_UNITS
         wanted = spec["end_to_end"]
 
@@ -137,7 +148,8 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}  seed {args.seed}  passes {passes}  "
           f"jobs {len(workload.jobs())}  trace {args.trace}")
     if not args.trace:
-        print("set-ups (s): " + ", ".join(f"{s:.3f}" for s in setups))
+        print("set-ups (s, scaled/raw): "
+              + ", ".join(f"{s:.3f}/{raw:.3f}" for s, raw in setups))
     if len(workload.jobs()) <= 20:
         print(f"{'job':<34} {'status':<10} {'ms':>9} {'area':>5} {'fti':>7} "
               f"{'makespan':>8} {'route':>6} {'proposals':>9}")

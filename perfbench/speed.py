@@ -1,15 +1,18 @@
 """A probe of the machine's current speed, for scaling reported times.
 
-The 2-core container the bounds were measured on runs the same Python
-work up to 1.5x slower for seconds to minutes at a time (other tenants
-share its cores), so raw wall times of identical runs spread by 30%.
-The probe is a fixed pure-Python kernel, independent of the program,
-with the same kind of work the program does: object creation, dict
-updates and a sort. Timing it next to each job and scaling the job's
-time by ``REFERENCE_PROBE_S / probe time`` reports the job at the
-reference speed. Next to a 170 ms placement job this cut the spread of
-10-job windows from +-27% to +-9% (coefficient of variation per job
-0.21 -> 0.11). Raw times are printed alongside.
+On the 2-core x86 machine the bounds were measured on, the same
+pure-Python work runs at speeds up to 2x apart, in spells of seconds to
+minutes (other tenants share the cores). Over 15 s windows, about one
+timed pass, this kernel's own time spread 0.22 (quartile distance over
+median) in three minutes of back-to-back runs. Best-of-k timings do not
+help (0.24-0.28), because a slow spell outlasts a pass. The probe is a
+fixed pure-Python kernel, independent of the program, with the same
+kind of work the program does: object creation, dict updates and a
+sort. Timing it next to each job and scaling the job's time by
+``REFERENCE_PROBE_S / probe time`` reports the job at a fixed speed.
+The set-up time is scaled the same way, by probes at its two ends. Raw
+times are printed alongside; ``perfbench/README.md`` records both
+spreads.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import random
 import statistics
 import time
 
-#: Median seconds of one :func:`_kernel` on the container the bounds
-#: were measured on (2-core x86, Python 3.11).
+#: Median seconds of one :func:`_kernel` on the machine the bounds were
+#: measured on (2-core x86, Python 3.11). It only fixes the unit: both
+#: sides of a comparison scale by it, so it cancels in their ratio.
 REFERENCE_PROBE_S = 0.0062
 
 

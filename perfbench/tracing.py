@@ -1,10 +1,10 @@
 """Spans and counters recorded around the program's public calls.
 
 The traced run wraps each layer boundary from outside: a placer
-subclass passed through ``placer=``, a routing synthesizer through
-``routing_synthesizer=``, a recovery engine through ``engine=``, and
-small pipeline stages that call ``compute_fti`` and
-``BiochipSimulator.run`` themselves. Nothing under ``src/`` changes.
+subclass passed through ``placer=``, a routing synthesizer subclass
+passed to the recovery engine through ``synthesizer=``, a recovery
+engine through ``engine=``, and a span around each of a pipeline's own
+stages. Nothing under ``src/`` changes.
 
 A span records its name, start, end, parent span and job id. Spans stay
 in memory and are written out when the run ends. A layer is the first
@@ -22,12 +22,10 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.fault.fti import compute_fti
-from repro.pipeline.stages import SimVerifyStage
+from repro.pipeline import Pipeline
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery.engine import OnlineRecoveryEngine
 from repro.routing.synthesis import RoutingSynthesizer
-from repro.sim.engine import BiochipSimulator
 
 #: Layers the summary reports, in print order.
 LAYERS = ("synthesis", "placement", "fault", "routing", "sim", "recovery")
@@ -123,6 +121,25 @@ class TracedPlacer(SimulatedAnnealingPlacer):
         return result
 
 
+def count_plan(tracer: Tracer, plan) -> None:
+    count = tracer.count
+    count("routing.calls")
+    count("routing.nets", plan.routed_count + plan.failed_count)
+    count("routing.failed_nets", plan.failed_count)
+    count("routing.route_steps", plan.total_route_steps)
+    count("routing.wait_steps", plan.total_wait_steps)
+
+
+def count_report(tracer: Tracer, report) -> None:
+    count = tracer.count
+    count("sim.calls")
+    count("sim.events", len(report.events))
+    count("sim.transport_cells", report.total_transport_cells)
+    count("sim.planned_transports", report.planned_transports)
+    count("sim.relocations", len(report.relocations))
+    count("sim.incomplete", int(not report.completed))
+
+
 class TracedRoutingSynthesizer(RoutingSynthesizer):
     """The routing synthesizer, with a ``routing`` span per call."""
 
@@ -133,80 +150,50 @@ class TracedRoutingSynthesizer(RoutingSynthesizer):
     def synthesize(self, *args, **kwargs):
         with self.tracer.span("routing"):
             plan = super().synthesize(*args, **kwargs)
-        count = self.tracer.count
-        count("routing.calls")
-        count("routing.nets", plan.routed_count + plan.failed_count)
-        count("routing.failed_nets", plan.failed_count)
-        count("routing.route_steps", plan.total_route_steps)
-        count("routing.wait_steps", plan.total_wait_steps)
+        count_plan(self.tracer, plan)
         return plan
 
 
-class TracedStage:
-    """Any pipeline stage, run inside a span of the given name."""
+def count_fti(tracer: Tracer, context) -> None:
+    if context.fti_report is not None:
+        tracer.count("fault.fti.calls")
 
-    def __init__(self, stage, span_name: str, tracer: Tracer) -> None:
+
+#: Span of each default pipeline stage, and the counters read from the
+#: context after it ran. The ``place`` span's child is the placer's own
+#: ``placement`` span, so its self time is the FTI report.
+STAGE_SPANS = {
+    "bind": ("synthesis.bind", None),
+    "schedule": ("synthesis.schedule", None),
+    "place": ("fault.fti", count_fti),
+    "route": ("routing", lambda t, c: count_plan(t, c.routing_plan)),
+    "verify": ("sim", lambda t, c: count_report(t, c.sim_report)),
+}
+
+
+class TracedStage:
+    """A pipeline stage, run unchanged inside the span ``STAGE_SPANS``
+    names for it."""
+
+    def __init__(self, stage, tracer: Tracer) -> None:
         self.stage = stage
         self.name = stage.name
         self.uses_faults = stage.uses_faults
-        self.span_name = span_name
+        self.span_name, self.counts = STAGE_SPANS[stage.name]
         self.tracer = tracer
 
     def run(self, context) -> None:
         with self.tracer.span(self.span_name):
             self.stage.run(context)
+        if self.counts is not None:
+            self.counts(self.tracer, context)
 
 
-class FtiStage:
-    """The FTI report ``PlaceStage(compute_fti_report=True)`` computes,
-    as its own stage so ``compute_fti`` gets its own span."""
-
-    name = "fti"
-    uses_faults = False
-
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-
-    def run(self, context) -> None:
-        with self.tracer.span("fault.fti"):
-            context.fti_report = compute_fti(context.placement_result.placement)
-        self.tracer.count("fault.fti.calls")
-
-
-class TracedReplayStage(SimVerifyStage):
-    """``SimVerifyStage`` with a ``sim`` span around ``BiochipSimulator.run``.
-
-    The body mirrors the parent's; the benchmark's parity check compares
-    its reports with the untraced run's.
-    """
-
-    def __init__(self, tracer: Tracer, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.tracer = tracer
-
-    def run(self, context) -> None:
-        context.require("binding", "schedule", "placement_result")
-        simulator = BiochipSimulator(
-            context.graph,
-            context.schedule,
-            context.binding,
-            context.placement_result.placement,
-            margin=self.margin,
-            strict=self.strict,
-            routing_plan=context.routing_plan,
-            engine=self.engine,
-        )
-        faults = [(0.0, simulator.sim_cell(p)) for p in context.faulty_cells]
-        with self.tracer.span("sim"):
-            report = simulator.run(faults=faults)
-        context.sim_report = report
-        count = self.tracer.count
-        count("sim.calls")
-        count("sim.events", len(report.events))
-        count("sim.transport_cells", report.total_transport_cells)
-        count("sim.planned_transports", report.planned_transports)
-        count("sim.relocations", len(report.relocations))
-        count("sim.incomplete", int(not report.completed))
+def traced(pipeline: Pipeline, tracer: Tracer | None) -> Pipeline:
+    """*pipeline* with each of its own stages wrapped in its span."""
+    if tracer is None:
+        return pipeline
+    return Pipeline([TracedStage(stage, tracer) for stage in pipeline.stages])
 
 
 class MeteredEngine(OnlineRecoveryEngine):

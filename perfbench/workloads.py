@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.assay.catalog import build_assay, is_generator_spec
 from repro.geometry import Point
-from repro.pipeline import Pipeline, SynthesisContext, build_default_pipeline
-from repro.pipeline.stages import BindStage, PlaceStage, RouteStage, ScheduleStage
+from repro.pipeline import SynthesisContext, build_default_pipeline
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.placement.transport import dependency_edges
@@ -41,19 +40,10 @@ from repro.recovery import ClosedLoopController, pick_fault_cell
 from repro.recovery.sweep import scenario_events
 from repro.routing.synthesis import RoutingSynthesizer
 from repro.sim.engine import BiochipSimulator
-from repro.synthesis.binder import ResourceBinder
 from repro.synthesis.flow import SynthesisFlow
 from repro.testing.detector import CapacitiveSensor
 
-from tracing import (
-    FtiStage,
-    MeteredEngine,
-    TracedPlacer,
-    TracedReplayStage,
-    TracedRoutingSynthesizer,
-    TracedStage,
-    span,
-)
+from tracing import MeteredEngine, TracedPlacer, TracedRoutingSynthesizer, span, traced
 
 
 #: Generator and synthesis seed of the fixed nominal designs.
@@ -225,34 +215,23 @@ class SynthCorpus(Workload):
         ]
         self._warmup_job = Job("warmup", "pcr", (*build_assay("pcr"), self.rng.randrange(2**31)))
 
-    def _pipeline(self, anneal_seed: int, max_parked: int | None, tracer) -> Pipeline:
-        reference = self.options.reference_routing
-        if tracer is None:
-            return build_default_pipeline(
-                placer=SimulatedAnnealingPlacer(params=self.params, seed=anneal_seed),
-                max_parked=max_parked,
-                route=True,
-                routing_synthesizer=RoutingSynthesizer(reference=reference),
-                verify=True,
-            )
-        # The same stages build_default_pipeline assembles, each wrapped.
-        return Pipeline([
-            TracedStage(BindStage(ResourceBinder()), "synthesis.bind", tracer),
-            TracedStage(ScheduleStage(max_parked=max_parked), "synthesis.schedule", tracer),
-            PlaceStage(
-                TracedPlacer(tracer, params=self.params, seed=anneal_seed),
-                compute_fti_report=False,
-            ),
-            FtiStage(tracer),
-            RouteStage(TracedRoutingSynthesizer(tracer, reference=reference)),
-            TracedReplayStage(tracer),
-        ])
-
     def run_job(self, job: Job, tracer) -> JobRecord:
         graph, binding, anneal_seed = job.payload
-        max_parked = 2 if is_generator_spec(job.label) else None
+        if tracer is None:
+            placer = SimulatedAnnealingPlacer(params=self.params, seed=anneal_seed)
+        else:
+            placer = TracedPlacer(tracer, params=self.params, seed=anneal_seed)
+        pipeline = build_default_pipeline(
+            placer=placer,
+            max_parked=2 if is_generator_spec(job.label) else None,
+            route=True,
+            routing_synthesizer=RoutingSynthesizer(
+                reference=self.options.reference_routing
+            ),
+            verify=True,
+        )
         context = SynthesisContext(graph=graph, explicit_binding=binding)
-        self._pipeline(anneal_seed, max_parked, tracer).run(context)
+        traced(pipeline, tracer).run(context)
         result = context.result()
         return _design_record(job, result, result.placement_result.stats.evaluations)
 
@@ -314,15 +293,8 @@ class DefectRoute(Workload):
     def run_job(self, job: Job, tracer) -> JobRecord:
         d, pattern = job.payload
         _, nominal, suffix = self.designs[d]
-        if tracer is not None:
-            suffix = Pipeline([
-                RouteStage(TracedRoutingSynthesizer(
-                    tracer, reference=self.options.reference_routing
-                )),
-                TracedReplayStage(tracer),
-            ])
         context = nominal.fork(faulty_cells=pattern)
-        suffix.run(context)
+        traced(suffix, tracer).run(context)
         if tracer is None and job.id in self.sample:
             self.replayed[job.id] = context
         return _design_record(job, context.result(), 0)
@@ -406,8 +378,13 @@ class FaultRecovery(Workload):
     def run_job(self, job: Job, tracer) -> JobRecord:
         name, model, arrival, sensor, job_seed = job.payload
         result = self.results[name]
+        # Traced, the suffix re-route inside recover() opens a
+        # ``routing`` span under the ``recovery.<rung>`` span.
         engine = MeteredEngine(
-            tracer, annealing=self.params, resynth_annealing=self.params
+            tracer,
+            annealing=self.params,
+            resynth_annealing=self.params,
+            synthesizer=None if tracer is None else TracedRoutingSynthesizer(tracer, margin=2),
         )
         controller = ClosedLoopController(
             engine=engine, sensor=CapacitiveSensor(**SENSORS[sensor])

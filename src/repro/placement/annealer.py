@@ -332,7 +332,8 @@ class SimulatedAnnealing:
         from repro.placement.incremental import CrossCheckError
 
         full_before = cost(evaluator.placement)
-        inverse = evaluator.apply(move)
+        inverse = evaluator.inverse(move)
+        evaluator.apply(move)
         full_after = cost(evaluator.placement)
         evaluator.check_consistency(tolerance)
         error = abs((full_after - full_before) - delta)

@@ -7,17 +7,22 @@ rebuild, and a whole-placement copy per proposal. This module exploits
 the key structural fact of the modified-2D formulation — module time
 spans are **fixed by the schedule** — to make a single-module move,
 rotate, or pair interchange cost O(time-neighbors) to delta-evaluate
-and O(1) amortized to apply:
+and O(1) to apply:
 
 * **Static time-neighbor lists.** Whether two modules can ever conflict
   is decided by their (schedule-fixed) time spans. The evaluator
   precomputes, once, the list of time-overlapping partners of every
   module together with the pair's shared duration ``dt``; a move only
   re-examines those partners.
-* **Edge multisets.** The bounding box is maintained as four sorted
-  multisets over the modules' x1/x2/y1/y2 footprint edges; a candidate
-  box after a move is found by peeking past at most the moved modules'
-  own edges, without touching the other n-1 modules.
+* **Edge count arrays.** Footprint edges are integers inside the core
+  area, so each of the four edge multisets (x1/x2/y1/y2) is a list of
+  per-coordinate counts sized to the core, next to the cached bounding
+  box. A candidate box after a move keeps the cached edge unless a
+  moved module was its only holder; only then does a scan walk to the
+  next occupied coordinate, stopping at the moved module's new edge and
+  at the array's end, so an out-of-core candidate is priced without
+  indexing past the array. :meth:`IncrementalCostEvaluator.apply`
+  moves one count per edge and takes the box the delta already found.
 * **Running sums.** The total overlap volume, an *integer* count of
   conflicting pairs (the exact feasibility gate — immune to float
   drift), and the integer corner-pull sum are maintained under apply;
@@ -28,12 +33,13 @@ and O(1) amortized to apply:
 Proposals travel as lightweight :class:`Move` objects (op id + new
 origin/orientation per touched module) instead of copied placements;
 the cost classes in :mod:`repro.placement.cost` combine the evaluator's
-component deltas into their own objective deltas.
+component deltas into their own objective deltas. :meth:`apply` returns
+nothing; a caller that needs to revert asks :meth:`inverse` for the
+undo move *before* applying.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from repro.placement.model import PlacedModule, Placement
@@ -97,67 +103,56 @@ class _Rec:
         self.rotated = rotated
 
 
-def _remove_sorted(lst: list[int], value: int) -> None:
-    """Remove one occurrence of *value* from the sorted list *lst*."""
-    i = bisect_left(lst, value)
-    if i >= len(lst) or lst[i] != value:
-        raise PlacementError(f"edge multiset desync: {value} not present")
-    lst.pop(i)
+def edge_counts(size: int, values) -> list[int]:
+    """Count array of the edge coordinates *values*, all in ``[1, size]``."""
+    counts = [0] * (size + 1)
+    for v in values:
+        counts[v] += 1
+    return counts
 
 
-def _min_after(lst: list[int], removed: list[int], added: list[int]) -> int:
-    """Minimum of the multiset *lst* with *removed* taken out and *added*
+def edge_min_after(counts: list[int], lo: int, removed, added) -> int:
+    """Minimum of the count-array multiset *counts* (current minimum
+    *lo*) with the values in *removed* taken out and those in *added*
     put in, without mutating anything.
 
-    ``removed`` holds at most two values (one per moved module), so the
-    front scan terminates after a handful of elements.
+    The scan stops at the first coordinate whose count outlives the
+    removals, at ``min(added)``, or at the end of the array, whichever
+    comes first; *added* may lie outside the array.
     """
     best = min(added)
-    rem = list(removed)
-    for v in lst:
-        if v >= best:
-            break
-        try:
-            rem.remove(v)
-        except ValueError:
-            return min(v, best)
+    stop = best if best < len(counts) else len(counts)
+    v = lo
+    while v < stop:
+        c = counts[v]
+        if c and c > removed.count(v):
+            return v
+        v += 1
     return best
 
 
-def _max_after(lst: list[int], removed: list[int], added: list[int]) -> int:
-    """Mirror of :func:`_min_after` for the maximum edge."""
+def edge_max_after(counts: list[int], hi: int, removed, added) -> int:
+    """Mirror of :func:`edge_min_after` for the maximum edge."""
     best = max(added)
-    rem = list(removed)
-    for v in reversed(lst):
-        if v <= best:
-            break
-        try:
-            rem.remove(v)
-        except ValueError:
-            return max(v, best)
+    stop = best if best > 0 else 0
+    v = hi
+    while v > stop:
+        c = counts[v]
+        if c and c > removed.count(v):
+            return v
+        v -= 1
     return best
-
-
-class _Pending:
-    """Cache of one delta evaluation so apply() never recomputes it."""
-
-    __slots__ = ("move", "components", "new_coords")
-
-    def __init__(self, move, components, new_coords) -> None:
-        self.move = move
-        self.components = components
-        self.new_coords = new_coords
 
 
 class IncrementalCostEvaluator:
     """Maintains O(1)-queryable cost components of a mutating placement.
 
     The evaluator *owns* the placement it is given: :meth:`apply`
-    mutates it in place (module records, edge multisets, and running
-    sums all stay in lock-step), while :meth:`delta_components` is pure
-    — it prices a :class:`Move` without touching any state, caching the
-    evaluation so an immediately following :meth:`apply` of the same
-    move is free.
+    mutates it in place (module records, edge count arrays, bounding
+    box, and running sums all stay in lock-step), while
+    :meth:`delta_components` is pure — it prices a :class:`Move`
+    without touching any state, caching the evaluation so an
+    immediately following :meth:`apply` of the same move is free.
 
     Invariants (see DESIGN.md for the full argument):
 
@@ -198,8 +193,8 @@ class IncrementalCostEvaluator:
             # the per-pair durations, the dims cache) and the FTI memo
             # (keyed by translation-normalized signature — position- and
             # fault-independent) carry over verbatim. Only the
-            # position-dependent records, edge multisets, and running
-            # sums below are rebuilt. The shared structures are never
+            # position-dependent records, edge counts, and running sums
+            # below are rebuilt. The shared structures are never
             # mutated after construction, so aliasing them is safe.
             self._specs = warm_from._specs
             self._spans = warm_from._spans
@@ -234,13 +229,27 @@ class IncrementalCostEvaluator:
                         self._pair_dt[(a, b)] = dt
                         self._pair_dt[(b, a)] = dt
 
-        # Edge multisets (sorted, with duplicates) for the bounding box.
-        self._x1s = sorted(r.x1 for r in self._recs.values())
-        self._x2s = sorted(r.x2 for r in self._recs.values())
-        self._y1s = sorted(r.y1 for r in self._recs.values())
-        self._y2s = sorted(r.y2 for r in self._recs.values())
+        # Edge count arrays (index = coordinate) and the cached box.
+        # Placement keeps every module inside the core, which bounds
+        # the indices.
+        core_w, core_h = placement.core_width, placement.core_height
+        recs = self._recs.values()
+        self._cx1 = edge_counts(core_w, (r.x1 for r in recs))
+        self._cx2 = edge_counts(core_w, (r.x2 for r in recs))
+        self._cy1 = edge_counts(core_h, (r.y1 for r in recs))
+        self._cy2 = edge_counts(core_h, (r.y2 for r in recs))
+        self._bx1 = min(r.x1 for r in recs)
+        self._by1 = min(r.y1 for r in recs)
+        self._bx2 = max(r.x2 for r in recs)
+        self._by2 = max(r.y2 for r in recs)
 
-        self._pending: _Pending | None = None
+        # The last evaluation, reused by an apply of the same Move:
+        # its components, its new footprints as
+        # ``(op, x1, y1, x2, y2, rotated)`` rows, and its bounding box.
+        self._pend_move: Move | None = None
+        self._pend_delta: MoveDelta | None = None
+        self._pend_rows: tuple = ()
+        self._pend_bbox: tuple[int, int, int, int] = (0, 0, 0, 0)
         self._sig: tuple | None = None
         self._applies_since_resync = 0
         self.overlap_total = 0.0
@@ -271,10 +280,8 @@ class IncrementalCostEvaluator:
 
     @property
     def area_cells(self) -> int:
-        """Bounding-array area in cells (exact, from the edge multisets)."""
-        return (self._x2s[-1] - self._x1s[0] + 1) * (
-            self._y2s[-1] - self._y1s[0] + 1
-        )
+        """Bounding-array area in cells (exact, from the cached box)."""
+        return (self._bx2 - self._bx1 + 1) * (self._by2 - self._by1 + 1)
 
     @property
     def area_mm2(self) -> float:
@@ -288,7 +295,7 @@ class IncrementalCostEvaluator:
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """Current ``(x1, y1, x2, y2)`` of the bounding array."""
-        return self._x1s[0], self._y1s[0], self._x2s[-1], self._y2s[-1]
+        return self._bx1, self._by1, self._bx2, self._by2
 
     def signature(self) -> tuple:
         """Translation-normalized identity of the current configuration.
@@ -299,7 +306,7 @@ class IncrementalCostEvaluator:
         applies — the LTSA loop asks for it on every feasible proposal.
         """
         if self._sig is None:
-            dx, dy = self._x1s[0], self._y1s[0]
+            dx, dy = self._bx1, self._by1
             self._sig = tuple(sorted(
                 (op, r.x1 - dx, r.y1 - dy, r.rotated)
                 for op, r in self._recs.items()
@@ -308,21 +315,17 @@ class IncrementalCostEvaluator:
 
     def candidate_signature(self, move: Move) -> tuple:
         """The signature the placement would have after *move*."""
-        pend = self._evaluated(move)
-        moved = pend.new_coords
-        x1s = [c[0] for c in moved.values()]
-        y1s = [c[1] for c in moved.values()]
-        removed_x = [self._recs[op].x1 for op in moved]
-        removed_y = [self._recs[op].y1 for op in moved]
-        dx = _min_after(self._x1s, removed_x, x1s)
-        dy = _min_after(self._y1s, removed_y, y1s)
+        if move is not self._pend_move:
+            self._evaluate(move)
+        dx, dy = self._pend_bbox[0], self._pend_bbox[1]
+        moved = {row[0]: row for row in self._pend_rows}
         rows = []
         for op, r in self._recs.items():
             c = moved.get(op)
             if c is None:
                 rows.append((op, r.x1 - dx, r.y1 - dy, r.rotated))
             else:
-                rows.append((op, c[0] - dx, c[1] - dy, c[4]))
+                rows.append((op, c[1] - dx, c[2] - dy, c[5]))
         return tuple(sorted(rows))
 
     def candidate_placement(self, move: Move) -> Placement:
@@ -332,22 +335,37 @@ class IncrementalCostEvaluator:
             out.replace(out.get(u.op_id).moved_to(u.x, u.y, rotated=u.rotated))
         return out
 
+    def inverse(self, move: Move) -> Move:
+        """The move that undoes *move* from the current state.
+
+        Pure: ask for it before :meth:`apply`, which records no undo
+        information of its own.
+        """
+        recs = self._recs
+        updates = []
+        for u in move.updates:
+            rec = recs.get(u.op_id)
+            if rec is None:
+                raise PlacementError(f"no placed module for op {u.op_id!r}")
+            updates.append(ModuleUpdate(u.op_id, rec.x1, rec.y1, rec.rotated))
+        return Move(updates=tuple(updates))
+
     # -- delta evaluation ---------------------------------------------------------
 
     def delta_components(self, move: Move) -> MoveDelta:
         """Price *move* in O(time-neighbors) without mutating anything."""
-        return self._evaluated(move).components
+        if move is not self._pend_move:
+            self._evaluate(move)
+        return self._pend_delta
 
-    def _evaluated(self, move: Move) -> _Pending:
-        pending = self._pending
-        if pending is not None and pending.move is move:
-            return pending
+    def _evaluate(self, move: Move) -> None:
         updates = move.updates
         if len(updates) == 1:
-            return self._eval_single(move, updates[0])
-        return self._eval_multi(move)
+            self._eval_single(move, updates[0])
+        else:
+            self._eval_multi(move)
 
-    def _eval_single(self, move: Move, u: ModuleUpdate) -> _Pending:
+    def _eval_single(self, move: Move, u: ModuleUpdate) -> None:
         """Specialized hot path: one module displaced and/or rotated."""
         op = u.op_id
         recs = self._recs
@@ -379,43 +397,39 @@ class IncrementalCostEvaluator:
                     d_overlap += ox * oy * dt
                     d_pairs += 1
 
-        # O(1) bounding-box peek: only this module's own edges can leave.
-        x1s, x2s, y1s, y2s = self._x1s, self._x2s, self._y1s, self._y2s
-        bx1 = x1s[0]
-        if ox1 == bx1:
-            bx1 = x1s[1] if len(x1s) > 1 else nx1
-        if nx1 < bx1:
-            bx1 = nx1
-        by1 = y1s[0]
-        if oy1 == by1:
-            by1 = y1s[1] if len(y1s) > 1 else ny1
-        if ny1 < by1:
-            by1 = ny1
-        bx2 = x2s[-1]
-        if ox2 == bx2:
-            bx2 = x2s[-2] if len(x2s) > 1 else nx2
-        if nx2 > bx2:
-            bx2 = nx2
-        by2 = y2s[-1]
-        if oy2 == by2:
-            by2 = y2s[-2] if len(y2s) > 1 else ny2
-        if ny2 > by2:
-            by2 = ny2
+        # Bounding-box peek: a cached edge moves only when this module
+        # was its sole holder; then scan to the next occupied coordinate.
+        cur_x1, cur_y1, cur_x2, cur_y2 = self._bx1, self._by1, self._bx2, self._by2
+        if ox1 == cur_x1 and self._cx1[ox1] == 1:
+            bx1 = edge_min_after(self._cx1, ox1, (ox1,), (nx1,))
+        else:
+            bx1 = nx1 if nx1 < cur_x1 else cur_x1
+        if oy1 == cur_y1 and self._cy1[oy1] == 1:
+            by1 = edge_min_after(self._cy1, oy1, (oy1,), (ny1,))
+        else:
+            by1 = ny1 if ny1 < cur_y1 else cur_y1
+        if ox2 == cur_x2 and self._cx2[ox2] == 1:
+            bx2 = edge_max_after(self._cx2, ox2, (ox2,), (nx2,))
+        else:
+            bx2 = nx2 if nx2 > cur_x2 else cur_x2
+        if oy2 == cur_y2 and self._cy2[oy2] == 1:
+            by2 = edge_max_after(self._cy2, oy2, (oy2,), (ny2,))
+        else:
+            by2 = ny2 if ny2 > cur_y2 else cur_y2
         new_area_cells = (bx2 - bx1 + 1) * (by2 - by1 + 1)
         d_area_mm2 = new_area_cells * self._pitch2 - self.area_cells * self._pitch2
 
-        components = MoveDelta(
+        self._pend_delta = MoveDelta(
             d_area_mm2=d_area_mm2,
             d_overlap=d_overlap,
             d_pull=nx2 + ny2 - ox2 - oy2,
             d_conflict_pairs=d_pairs,
         )
-        self._pending = _Pending(
-            move, components, {op: (nx1, ny1, nx2, ny2, u.rotated)}
-        )
-        return self._pending
+        self._pend_rows = ((op, nx1, ny1, nx2, ny2, u.rotated),)
+        self._pend_bbox = (bx1, by1, bx2, by2)
+        self._pend_move = move
 
-    def _eval_multi(self, move: Move) -> _Pending:
+    def _eval_multi(self, move: Move) -> None:
         recs = self._recs
 
         # New footprint coordinates per moved module.
@@ -482,58 +496,63 @@ class IncrementalCostEvaluator:
                     d_overlap += ox * oy * dt
                     d_pairs += 1
 
-        # Candidate bounding box via the edge multisets.
-        rem_x1 = [recs[op].x1 for op in new_coords]
-        rem_x2 = [recs[op].x2 for op in new_coords]
-        rem_y1 = [recs[op].y1 for op in new_coords]
-        rem_y2 = [recs[op].y2 for op in new_coords]
+        # Candidate bounding box via the edge count arrays.
+        olds = [recs[op] for op in new_coords]
         add = list(new_coords.values())
-        nx1 = _min_after(self._x1s, rem_x1, [c[0] for c in add])
-        ny1 = _min_after(self._y1s, rem_y1, [c[1] for c in add])
-        nx2 = _max_after(self._x2s, rem_x2, [c[2] for c in add])
-        ny2 = _max_after(self._y2s, rem_y2, [c[3] for c in add])
-        new_area_cells = (nx2 - nx1 + 1) * (ny2 - ny1 + 1)
+        bx1 = edge_min_after(
+            self._cx1, self._bx1, [r.x1 for r in olds], [c[0] for c in add]
+        )
+        by1 = edge_min_after(
+            self._cy1, self._by1, [r.y1 for r in olds], [c[1] for c in add]
+        )
+        bx2 = edge_max_after(
+            self._cx2, self._bx2, [r.x2 for r in olds], [c[2] for c in add]
+        )
+        by2 = edge_max_after(
+            self._cy2, self._by2, [r.y2 for r in olds], [c[3] for c in add]
+        )
+        new_area_cells = (bx2 - bx1 + 1) * (by2 - by1 + 1)
         d_area_mm2 = new_area_cells * self._pitch2 - self.area_cells * self._pitch2
 
-        components = MoveDelta(
+        self._pend_delta = MoveDelta(
             d_area_mm2=d_area_mm2,
             d_overlap=d_overlap,
             d_pull=d_pull,
             d_conflict_pairs=d_pairs,
         )
-        self._pending = _Pending(move, components, new_coords)
-        return self._pending
+        self._pend_rows = tuple((op, *c) for op, c in new_coords.items())
+        self._pend_bbox = (bx1, by1, bx2, by2)
+        self._pend_move = move
 
     # -- state transitions --------------------------------------------------------
 
-    def apply(self, move: Move) -> Move:
-        """Commit *move*; returns the inverse move (for exact revert)."""
-        pend = self._evaluated(move)
+    def apply(self, move: Move) -> None:
+        """Commit *move* (see :meth:`inverse` for reverting it)."""
+        if move is not self._pend_move:
+            self._evaluate(move)
+        rows = self._pend_rows
         placement = self.placement
-        modules = placement._modules
         core_w, core_h = placement.core_width, placement.core_height
-        inverse = Move(updates=tuple(
-            ModuleUpdate(op, self._recs[op].x1, self._recs[op].y1,
-                         self._recs[op].rotated)
-            for op in pend.new_coords
-        ))
-        for op, (x1, y1, x2, y2, _rot) in pend.new_coords.items():
+        for op, x1, y1, x2, y2, _rot in rows:
             if x1 < 1 or y1 < 1 or x2 > core_w or y2 > core_h:
-                self._pending = None
+                self._pend_move = None
                 raise PlacementError(
                     f"move puts op {op!r} at ({x1},{y1})..({x2},{y2}), outside "
                     f"the {core_w}x{core_h} core area"
                 )
-        for op, (x1, y1, x2, y2, rotated) in pend.new_coords.items():
-            rec = self._recs[op]
-            _remove_sorted(self._x1s, rec.x1)
-            _remove_sorted(self._x2s, rec.x2)
-            _remove_sorted(self._y1s, rec.y1)
-            _remove_sorted(self._y2s, rec.y2)
-            insort(self._x1s, x1)
-            insort(self._x2s, x2)
-            insort(self._y1s, y1)
-            insort(self._y2s, y2)
+        modules = placement._modules
+        recs = self._recs
+        cx1, cy1, cx2, cy2 = self._cx1, self._cy1, self._cx2, self._cy2
+        for op, x1, y1, x2, y2, rotated in rows:
+            rec = recs[op]
+            cx1[rec.x1] -= 1
+            cy1[rec.y1] -= 1
+            cx2[rec.x2] -= 1
+            cy2[rec.y2] -= 1
+            cx1[x1] += 1
+            cy1[y1] += 1
+            cx2[x2] += 1
+            cy2[y2] += 1
             rec.x1, rec.y1, rec.x2, rec.y2, rec.rotated = x1, y1, x2, y2, rotated
             # Direct record swap: the in-core check above is replace()'s
             # precondition, and building the footprint Rect eagerly (as
@@ -544,16 +563,16 @@ class IncrementalCostEvaluator:
                 op_id=op, spec=self._specs[op], x=x1, y=y1,
                 start=start, stop=stop, rotated=rotated,
             )
-        c = pend.components
+        self._bx1, self._by1, self._bx2, self._by2 = self._pend_bbox
+        c = self._pend_delta
         self.overlap_total += c.d_overlap
         self.conflict_pairs += c.d_conflict_pairs
         self.pull_sum += c.d_pull
-        self._pending = None
+        self._pend_move = None
         self._sig = None
         self._applies_since_resync += 1
         if self._applies_since_resync >= self.resync_every:
             self.resync()
-        return inverse
 
     def resync(self) -> float:
         """Rebuild the running sums from scratch; returns the float drift
@@ -610,7 +629,7 @@ class IncrementalCostEvaluator:
         bb = self.placement.bounding_box()
         if (bb.x, bb.y, bb.x2, bb.y2) != self.bounding_box():
             raise CrossCheckError(
-                f"bounding box desync: multisets say {self.bounding_box()}, "
+                f"bounding box desync: cached {self.bounding_box()}, "
                 f"placement says {(bb.x, bb.y, bb.x2, bb.y2)}"
             )
         pull = sum(pm.footprint.x2 + pm.footprint.y2 for pm in self.placement)
@@ -622,6 +641,16 @@ class IncrementalCostEvaluator:
             fp = self.placement.get(op).footprint
             if (fp.x, fp.y, fp.x2, fp.y2) != (rec.x1, rec.y1, rec.x2, rec.y2):
                 raise CrossCheckError(f"record desync for op {op!r}")
+        recs = self._recs.values()
+        core_w, core_h = self.placement.core_width, self.placement.core_height
+        for name, counts, size, edge in (
+            ("x1", self._cx1, core_w, lambda r: r.x1),
+            ("y1", self._cy1, core_h, lambda r: r.y1),
+            ("x2", self._cx2, core_w, lambda r: r.x2),
+            ("y2", self._cy2, core_h, lambda r: r.y2),
+        ):
+            if counts != edge_counts(size, map(edge, recs)):
+                raise CrossCheckError(f"{name} edge-count desync")
 
 
 def apply_move(placement: Placement, move: Move) -> Placement:

@@ -18,6 +18,13 @@ module); :meth:`MoveGenerator.propose` wraps that in a copied placement
 for the generic full-recompute path, consuming the *identical* RNG
 sequence, so the incremental and reference annealing paths explore the
 same trajectory for the same seed.
+
+The generator caches each placement's candidate order and per-module
+footprint geometry, so a displacement is O(1) (a pair move adds
+``Random.sample``'s own pool copy). It draws its integers with the
+``_randbelow`` calls that ``Random.choice`` and ``Random.randint``
+reduce to (CPython 3.11-3.13), so the stream stays draw-for-draw the
+one those public calls would consume.
 """
 
 from __future__ import annotations
@@ -26,13 +33,9 @@ import random
 from collections.abc import Collection
 
 from repro.placement.incremental import Move, ModuleUpdate, apply_move
-from repro.placement.model import PlacedModule, Placement
+from repro.placement.model import Placement
 from repro.placement.window import ControllingWindow
 from repro.util.rng import ensure_rng
-
-
-def _clamp(v: int, lo: int, hi: int) -> int:
-    return max(lo, min(hi, v))
 
 
 class MoveGenerator:
@@ -63,93 +66,134 @@ class MoveGenerator:
         #: identically to the historical generator.
         self.movable = None if movable is None else frozenset(movable)
         self._rng = ensure_rng(seed)
+        self._randbelow = self._rng._randbelow
+        # Cache for the last placement seen (see _refresh).
+        self._placement: Placement | None = None
+        self._size = -1
+        self._core: tuple[int, int] = (0, 0)
+        self._ids: list[str] = []
+        #: Per op: ``(spec, is_square, orient)``, where ``orient[rotated]``
+        #: is ``(max_x, max_y, fits)`` for that orientation in the core.
+        self._geom: dict[str, tuple] = {}
+        # Window span of the last temperature, and its randint width.
+        self._span_temp: float | None = None
+        self._span = 0
+        self._span_width = 1
 
     # -- public API -----------------------------------------------------------------
 
     def propose_move(self, placement: Placement, temperature: float) -> Move:
         """Return a :class:`Move` one step away from *placement*."""
-        candidates = self._candidates(placement)
-        if not candidates:
+        modules = placement._modules
+        if placement is not self._placement or len(modules) != self._size:
+            self._refresh(placement)
+        ids = self._ids
+        n = len(ids)
+        if not n:
             raise ValueError("cannot propose moves: no movable modules")
-        use_single = (
-            self.single_only
-            or len(candidates) < 2
-            or self._rng.random() < self.p_single
-        )
-        if use_single:
-            return self._displace(placement, candidates, temperature)
-        return self._interchange(placement, candidates)
+        rng = self._rng
+        if self.single_only or n < 2 or rng.random() < self.p_single:
+            # Types (i) and (ii): displace one module, maybe re-oriented.
+            op = ids[self._randbelow(n)]  # rng.choice(ids)
+            pm = modules[op]
+            rotated = pm.rotated
+            _spec, square, orient = self._geom[op]
+            if not square and rng.random() < self.p_rotate and orient[not rotated][2]:
+                rotated = not rotated  # type (ii)
+            if temperature != self._span_temp:
+                self._span = self.window.span(temperature)
+                self._span_width = 2 * self._span + 1
+                self._span_temp = temperature
+            # Uniform origin within the controlling window, clamped to
+            # the core: rng.randint(-span, span) per axis.
+            max_x, max_y, _fits = orient[rotated]
+            nx = pm.x - self._span + self._randbelow(self._span_width)
+            if nx > max_x:
+                nx = max_x
+            if nx < 1:
+                nx = 1
+            ny = pm.y - self._span + self._randbelow(self._span_width)
+            if ny > max_y:
+                ny = max_y
+            if ny < 1:
+                ny = 1
+            return Move(updates=(ModuleUpdate(op, nx, ny, rotated),))
 
-    def _candidates(self, placement: Placement) -> list[PlacedModule]:
-        """The modules a move may touch, in the placement's stable order."""
-        modules = placement.modules()
-        if self.movable is None:
-            return modules
-        return [pm for pm in modules if pm.op_id in self.movable]
+        # Types (iii) and (iv): swap two modules' origins.
+        a, b = rng.sample(ids, 2)
+        pa, pb = modules[a], modules[b]
+        rot_a, rot_b = pa.rotated, pb.rotated
+        geom = self._geom
+        if rng.random() < self.p_rotate:
+            # Type (iv): at least one of the pair changes orientation.
+            if rng.random() < 0.5:
+                _spec, square, orient = geom[a]
+                if not square and orient[not rot_a][2]:
+                    rot_a = not rot_a
+            else:
+                _spec, square, orient = geom[b]
+                if not square and orient[not rot_b][2]:
+                    rot_b = not rot_b
+        # Clamp each origin so the (possibly rotated) footprint stays
+        # inside the core area.
+        return Move(updates=(
+            _update_at(a, pb.x, pb.y, geom[a][2][rot_a], rot_a),
+            _update_at(b, pa.x, pa.y, geom[b][2][rot_b], rot_b),
+        ))
 
     def propose(self, placement: Placement, temperature: float) -> Placement:
         """Return a new placement one move away from *placement*."""
         return apply_move(placement, self.propose_move(placement, temperature))
 
-    # -- move implementations -----------------------------------------------------------
+    # -- cache ------------------------------------------------------------------------
 
-    def _fits(self, placement: Placement, pm: PlacedModule, rotated: bool) -> bool:
-        w, h = pm.spec.dims(rotated)
-        return w <= placement.core_width and h <= placement.core_height
+    def _refresh(self, placement: Placement) -> None:
+        """Cache *placement*'s candidate order and per-op geometry.
 
-    def _random_origin_near(
-        self, placement: Placement, pm: PlacedModule, rotated: bool, span: int
-    ) -> tuple[int, int]:
-        """Uniform origin within the controlling window, clamped to core."""
-        w, h = pm.spec.dims(rotated)
-        max_x = placement.core_width - w + 1
-        max_y = placement.core_height - h + 1
-        nx = _clamp(pm.x + self._rng.randint(-span, span), 1, max_x)
-        ny = _clamp(pm.y + self._rng.randint(-span, span), 1, max_y)
-        return nx, ny
+        Keyed on the placement object and its length: Placement has no
+        remove, so an unchanged length means an unchanged op set, and
+        the schedule fixes every op's spec. Geometry of ops whose spec
+        and core are unchanged carries over from the previous
+        placement, which keeps the generic path (a fresh placement copy
+        per proposal) at O(n) dict lookups per refresh.
+        """
+        modules = placement._modules
+        movable = self.movable
+        ids = list(modules) if movable is None else [
+            op for op in modules if op in movable
+        ]
+        core = (placement.core_width, placement.core_height)
+        old = self._geom if core == self._core else {}
+        cw, ch = core
+        geom = {}
+        for op in ids:
+            spec = modules[op].spec
+            g = old.get(op)
+            if g is None or g[0] is not spec:
+                orient = []
+                for rotated in (False, True):
+                    w, h = spec.dims(rotated)
+                    orient.append((cw - w + 1, ch - h + 1, w <= cw and h <= ch))
+                g = (spec, spec.is_square, tuple(orient))
+            geom[op] = g
+        self._placement = placement
+        self._size = len(modules)
+        self._core = core
+        self._ids = ids
+        self._geom = geom
 
-    def _displace(
-        self, placement: Placement, candidates: list[PlacedModule], temperature: float
-    ) -> Move:
-        """Move types (i) and (ii)."""
-        pm = self._rng.choice(candidates)
-        rotated = pm.rotated
-        if (
-            not pm.spec.is_square
-            and self._rng.random() < self.p_rotate
-            and self._fits(placement, pm, not rotated)
-        ):
-            rotated = not rotated  # type (ii)
-        span = self.window.span(temperature)
-        nx, ny = self._random_origin_near(placement, pm, rotated, span)
-        return Move(updates=(ModuleUpdate(pm.op_id, nx, ny, rotated),))
 
-    def _interchange(
-        self, placement: Placement, candidates: list[PlacedModule]
-    ) -> Move:
-        """Move types (iii) and (iv): swap two modules' origins."""
-        a, b = self._rng.sample(candidates, 2)
-        rot_a, rot_b = a.rotated, b.rotated
-        if self._rng.random() < self.p_rotate:
-            # Type (iv): at least one of the pair changes orientation.
-            flip_a = self._rng.random() < 0.5
-            target = a if flip_a else b
-            if not target.spec.is_square and self._fits(placement, target, not target.rotated):
-                if flip_a:
-                    rot_a = not rot_a
-                else:
-                    rot_b = not rot_b
-        # Swap origins; clamp each so the (possibly rotated) footprint
-        # stays inside the core area.
-        return Move(updates=(
-            self._update_at(placement, a, b.x, b.y, rot_a),
-            self._update_at(placement, b, a.x, a.y, rot_b),
-        ))
-
-    def _update_at(
-        self, placement: Placement, pm: PlacedModule, x: int, y: int, rotated: bool
-    ) -> ModuleUpdate:
-        w, h = pm.spec.dims(rotated)
-        nx = _clamp(x, 1, placement.core_width - w + 1)
-        ny = _clamp(y, 1, placement.core_height - h + 1)
-        return ModuleUpdate(pm.op_id, nx, ny, rotated)
+def _update_at(
+    op: str, x: int, y: int, limits: tuple[int, int, bool], rotated: bool
+) -> ModuleUpdate:
+    """*op* at ``(x, y)`` clamped to the orientation's ``(max_x, max_y)``."""
+    max_x, max_y, _fits = limits
+    if x > max_x:
+        x = max_x
+    if x < 1:
+        x = 1
+    if y > max_y:
+        y = max_y
+    if y < 1:
+        y = 1
+    return ModuleUpdate(op, x, y, rotated)

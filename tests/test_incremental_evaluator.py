@@ -153,7 +153,8 @@ class TestEvaluatorBasics:
         before_state = {pm.op_id: (pm.x, pm.y, pm.rotated) for pm in p}
 
         move = Move(updates=(legal_update(p, "b", 7, 2, False),))
-        inverse = ev.apply(move)
+        inverse = ev.inverse(move)
+        ev.apply(move)
         ev.apply(inverse)
         ev.resync()
         assert cost.current(ev) == pytest.approx(before_cost, abs=TOL)
@@ -454,7 +455,8 @@ def test_incremental_tracks_full_recompute(modules, moves):
         before_pull = ev.pull_sum
         delta = cost.delta(ev, move)
 
-        inverse = ev.apply(move)
+        inverse = ev.inverse(move)
+        ev.apply(move)
         after_full = cost(placement)
         # 1. the delta prices the move exactly (within float tolerance)
         assert delta == pytest.approx(after_full - before_full, abs=TOL)

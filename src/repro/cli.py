@@ -60,6 +60,7 @@ from repro.exec import (
 )
 from repro.fault.models import FAULT_MODELS
 from repro.placement.annealer import AnnealingParams
+from repro.sim.engine import SIM_ENGINES
 from repro.util.errors import (
     ReproError,
     UsageError,
@@ -958,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay each scenario on the droplet-level simulator",
     )
     batch.add_argument(
-        "--sim-engine", choices=("event", "stepped"), default="event",
+        "--sim-engine", choices=SIM_ENGINES, default="event",
         help="simulation driver for --verify (event fast path / "
              "stepped reference)",
     )
@@ -1098,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(assay x fault-arrival x fault-pattern) instead of one demo fault",
     )
     recover.add_argument(
-        "--sim-engine", choices=("event", "stepped"), default="event",
+        "--sim-engine", choices=SIM_ENGINES, default="event",
         help="simulation driver for checkpoint/verify replays",
     )
     recover.add_argument("--max-concurrent", type=int, default=3)

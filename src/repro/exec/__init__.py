@@ -1,7 +1,8 @@
 """Supervised parallel execution for synthesis campaigns.
 
-``repro.exec`` is the hardened substrate the portfolio executor, the
-batch scenario runner, and the Monte-Carlo recovery sweep all run on:
+``repro.exec`` is the hardened substrate the portfolio executor and the
+three scenario runners (batch grid, Monte-Carlo recovery sweep,
+campaign) all run on:
 
 * :class:`~repro.exec.supervised.SupervisedPool` — a
   ``ProcessPoolExecutor`` wrapper with per-task deadlines (a watchdog
@@ -14,8 +15,13 @@ batch scenario runner, and the Monte-Carlo recovery sweep all run on:
   so campaigns return partial results instead of raising.
 * :class:`~repro.exec.journal.CampaignJournal` — crash-safe JSONL
   journaling (append + fsync, one record per completed scenario) that
-  makes batch and sweep campaigns ``kill -9``-safe: resuming from a
-  journal skips already-journaled scenario keys.
+  makes scenario grids ``kill -9``-safe: resuming from a journal skips
+  already-journaled scenario keys.
+* :func:`~repro.exec.scenarios.run_scenarios` — the one scenario
+  executor behind all three runners: groups a grid into units that
+  share a synthesis, derives every seed from a content key, skips
+  journaled scenarios, fans the rest out on the pool, journals decided
+  records and turns lost units into keyed failure records.
 
 The determinism contract (see DESIGN.md, "supervised execution"): a
 retry resubmits the *identical* seeded task, so supervision — including
@@ -23,6 +29,7 @@ injected chaos recovered by retries — is invisible in final results.
 """
 
 from repro.exec.journal import CampaignJournal, NullJournal, load_journal
+from repro.exec.scenarios import run_scenarios
 from repro.exec.supervised import (
     STATUS_CRASHED,
     STATUS_INFEASIBLE,
@@ -44,4 +51,5 @@ __all__ = [
     "SupervisedPool",
     "TaskOutcome",
     "load_journal",
+    "run_scenarios",
 ]

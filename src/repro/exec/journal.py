@@ -1,12 +1,13 @@
 """Crash-safe JSONL campaign journaling (6tisch ``SimLog`` style).
 
-A campaign (batch scenario grid, Monte-Carlo recovery sweep) appends
-one JSON line per *completed* scenario — ``write``, ``flush``,
-``fsync`` — so a ``kill -9``, OOM kill, or power cut loses at most the
-line being written, never a completed result. Resuming a campaign
-loads the journal, skips every already-journaled scenario key, and
-recomputes only the rest; because scenario seeds are pre-derived from
-the campaign seed (never from execution order), the resumed report is
+A scenario grid (batch grid, Monte-Carlo recovery sweep, campaign —
+all run by :func:`repro.exec.scenarios.run_scenarios`) appends one
+JSON line per *completed* scenario — ``write``, ``flush``, ``fsync`` —
+so a ``kill -9``, OOM kill, or power cut loses at most the line being
+written, never a completed result. Resuming loads the journal, skips
+every already-journaled scenario key, and recomputes only the rest;
+because every seed is derived from the grid seed and a content key
+(never from grid position or execution order), the resumed report is
 bit-identical to an uninterrupted run.
 
 Record schema (one JSON object per line)::
@@ -14,9 +15,11 @@ Record schema (one JSON object per line)::
     {"v": 1, "kind": "<record kind>", "key": "<scenario key>",
      "record": {<the scenario's to_dict()>}}
 
-``kind`` namespaces producers sharing a file (``batch-scenario``,
-``recovery-scenario``); ``key`` is the producer's stable scenario
-identity (e.g. ``pcr|auto|center``). A truncated *final* line is the
+``kind`` namespaces producers sharing a file (``batch-scenario-v2``,
+``recovery-scenario-v2``, ``campaign-scenario``); a producer changes
+its kind when its records change meaning, so older lines are ignored
+and recomputed. ``key`` is the producer's stable scenario identity
+(e.g. ``pcr|auto|center``). A truncated *final* line is the
 expected kill signature and is skipped on load; corruption anywhere
 else raises :class:`~repro.util.errors.JournalError` — that file is
 not a journal.

@@ -318,24 +318,31 @@ class SupervisedPool:
 
                 # Submission window == worker count, so every submitted
                 # task starts immediately and its deadline clock is real.
+                broke = False
                 while queue and len(in_flight) < max_workers:
                     p = queue.popleft()
                     now = time.monotonic()
                     if p.started == 0.0:
                         p.started = now
-                    fut = executor.submit(
-                        _supervised_call, fn, tasks[p.index], p.index, p.attempt,
-                        self.chaos,
-                    )
+                    try:
+                        fut = executor.submit(
+                            _supervised_call, fn, tasks[p.index], p.index,
+                            p.attempt, self.chaos,
+                        )
+                    except BrokenProcessPool:
+                        # A worker died after the last wait returned;
+                        # this task never ran, so it burns no attempt.
+                        queue.appendleft(p)
+                        broke = True
+                        break
                     in_flight[fut] = (p, now)
 
-                timeout = None
-                if self.task_timeout is not None:
+                timeout = 0.0 if broke else None
+                if self.task_timeout is not None and not broke:
                     nearest = min(sub for _, sub in in_flight.values())
                     timeout = max(0.0, nearest + self.task_timeout - time.monotonic())
                 done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
 
-                broke = False
                 for fut in done:
                     p, _sub = in_flight.pop(fut)
                     broke |= handle_done(fut, p)

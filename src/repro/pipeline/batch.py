@@ -5,18 +5,20 @@ combination, then replays only the fault-dependent suffix (routing,
 optional sim-verify) per fault pattern — the fault-independent prefix
 (bind, schedule, place, FTI) is computed once and shared through
 :meth:`SynthesisContext.fork`. Combinations are independent, so the
-sweep itself parallelizes over a :class:`repro.exec.SupervisedPool`
-with ``jobs > 1``; per-combo seeds are derived up front from the batch
-seed, keeping every record identical for any worker count. A combo
-whose worker crashes or overruns its deadline past the retry budget
-still appears in the report — one structured failure record per
-scenario, carrying the originating scenario key — so a sweep returns
-partial results instead of raising.
+sweep runs on :func:`repro.exec.run_scenarios`, which fans combos over
+a supervised pool with ``jobs > 1``. Each combo's synthesis seed is
+derived from the batch seed and the combo's content key
+(``assay|array``), keeping every record identical for any worker
+count, any grid order and any resume split; the fault-dependent suffix
+draws no randomness. A combo whose worker crashes or overruns its
+deadline past the retry budget still appears in the report — one
+structured failure record per scenario, carrying the originating
+scenario key — so a sweep returns partial results instead of raising.
 
 Campaigns can journal each completed scenario to a crash-safe JSONL
-file (:class:`repro.exec.CampaignJournal`) and later resume from it:
-already-journaled scenario keys are skipped and their records loaded
-back, producing a report bit-identical to an uninterrupted run.
+file and later resume from it: already-journaled scenario keys are
+skipped and their records loaded back, producing a report
+bit-identical to an uninterrupted run.
 
 All output is machine-readable: :meth:`BatchReport.to_dict` nests the
 ``to_dict()`` of every result dataclass and round-trips through
@@ -27,36 +29,37 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.assay.graph import SequencingGraph
-from repro.exec import (
-    STATUS_INFEASIBLE,
-    STATUS_OK,
-    CampaignJournal,
-    NullJournal,
-    SupervisedPool,
-    load_journal,
-)
+from repro.exec import STATUS_INFEASIBLE, STATUS_OK
+from repro.exec.scenarios import Scenario, Unit, duplicate_keys, run_scenarios
 from repro.geometry import Point
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.pipeline import build_default_pipeline
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
+from repro.sim.engine import SIM_ENGINES
 from repro.synthesis.binder import ResourceBinder
 from repro.synthesis.flow import SynthesisResult
 from repro.util.errors import PipelineError, ReproError
-from repro.util.rng import ensure_rng, spawn_rng, spawn_seed
 from repro.util.tables import format_table
 
-#: Journal record kind written by :class:`BatchScenarioRunner`.
-JOURNAL_KIND = "batch-scenario"
+#: Journal record kind written by :class:`BatchScenarioRunner`. The
+#: ``-v2`` marks content-derived seeds: a journal from the positional
+#: seed scheme is recomputed, never mixed with new records.
+JOURNAL_KIND = "batch-scenario-v2"
+
+
+def combo_key(assay: str, array_size: tuple[int, int] | None) -> str:
+    """Identity of one (assay, array size) combo, e.g. ``pcr|auto``."""
+    size = "auto" if array_size is None else f"{array_size[0]}x{array_size[1]}"
+    return f"{assay}|{size}"
 
 
 def scenario_key(assay: str, array_size: tuple[int, int] | None, pattern: str) -> str:
     """Stable identity of one grid cell, e.g. ``pcr|auto|center``."""
-    size = "auto" if array_size is None else f"{array_size[0]}x{array_size[1]}"
-    return f"{assay}|{size}|{pattern}"
+    return f"{combo_key(assay, array_size)}|{pattern}"
 
 
 @dataclass(frozen=True)
@@ -151,35 +154,6 @@ BUILTIN_FAULT_PATTERNS: Mapping[str, FaultPattern] = {
 }
 
 
-@dataclass(frozen=True)
-class _ComboSpec:
-    """Everything a worker needs to run one (assay, array-size) combo."""
-
-    assay: str
-    graph: SequencingGraph
-    explicit_binding: Mapping[str, str] | None
-    array_size: tuple[int, int] | None
-    fault_patterns: tuple[FaultPattern, ...]
-    seed: int
-    annealing: AnnealingParams | None
-    max_concurrent_ops: int | None
-    cell_capacity: int | None
-    max_parked: int | None
-    binding_strategy: str
-    route: bool
-    verify: bool
-    sim_engine: str = "event"
-    #: Scenario keys already journaled — the worker skips these
-    #: patterns (the shared prefix still runs once if anything is left).
-    skip_keys: tuple[str, ...] = ()
-
-    def pattern_keys(self) -> list[str]:
-        return [
-            scenario_key(self.assay, self.array_size, p.name)
-            for p in self.fault_patterns
-        ]
-
-
 @dataclass
 class ScenarioRecord:
     """One grid cell: an assay under one array size and fault pattern."""
@@ -237,7 +211,7 @@ class ScenarioRecord:
     @classmethod
     def from_journal(cls, record: dict) -> ScenarioRecord:
         """Rebuild a journaled record (``result`` stays a raw dict)."""
-        size = record.get("array_size")
+        size = record["array_size"]
         return cls(
             assay=record["assay"],
             array_size=tuple(size) if size else None,
@@ -245,11 +219,9 @@ class ScenarioRecord:
             faulty_cells=tuple(Point(x, y) for x, y in record["faulty_cells"]),
             ok=record["ok"],
             upstream_reused=record["upstream_reused"],
-            error=record.get("error"),
-            status=record.get(
-                "status", STATUS_OK if record["ok"] else STATUS_INFEASIBLE
-            ),
-            result_dict=record.get("result"),
+            error=record["error"],
+            status=record["status"],
+            result_dict=record["result"],
         )
 
 
@@ -302,58 +274,63 @@ class BatchReport:
         )
 
 
-def _run_combo(spec: _ComboSpec) -> list[ScenarioRecord]:
-    """Run one combo: prefix once, fault-dependent suffix per pattern."""
-    core_w, core_h = spec.array_size if spec.array_size else (None, None)
-    rng = ensure_rng(spec.seed)
+def _failed(
+    unit: Unit, scenario: Scenario, status: str, error: str | None
+) -> ScenarioRecord:
+    """A scenario whose combo never reached its suffix.
+
+    Nothing upstream completed, so nothing was reused and no fault was
+    placed.
+    """
+    _, assay, size = unit.params
+    return ScenarioRecord(
+        assay=assay,
+        array_size=size,
+        fault_pattern=scenario.params.name,
+        faulty_cells=(),
+        ok=False,
+        upstream_reused=False,
+        error=error,
+        status=status,
+    )
+
+
+def _run_combo(unit: Unit) -> list[ScenarioRecord]:
+    """Run one (assay, array size) combo: prefix once, fault-dependent
+    suffix per pattern."""
+    runner, assay, size = unit.params
+    graph, binding = runner.assays[assay]
+    core_w, core_h = size if size else (None, None)
     placer = SimulatedAnnealingPlacer(
-        params=spec.annealing,
+        params=runner.annealing,
         core_width=core_w,
         core_height=core_h,
-        seed=spawn_rng(rng),
+        seed=unit.seed,
     )
     pipeline = build_default_pipeline(
         placer=placer,
-        max_concurrent_ops=spec.max_concurrent_ops,
-        cell_capacity=spec.cell_capacity,
-        max_parked=spec.max_parked,
-        binding_strategy=spec.binding_strategy,
-        seed=rng,
-        route=spec.route,
-        verify=spec.verify,
-        sim_engine=spec.sim_engine,
+        max_concurrent_ops=runner.max_concurrent_ops,
+        cell_capacity=runner.cell_capacity,
+        max_parked=runner.max_parked,
+        binding_strategy=runner.binding_strategy,
+        route=runner.route,
+        verify=runner.verify,
+        sim_engine=runner.sim_engine,
     )
     prefix, suffix = pipeline.split_on_faults()
 
-    records: list[ScenarioRecord] = []
-    base = SynthesisContext(graph=spec.graph, explicit_binding=spec.explicit_binding)
-    prefix_error: str | None = None
+    base = SynthesisContext(graph=graph, explicit_binding=binding)
     try:
         prefix.run(base)
     except ReproError as exc:  # the whole combo is unsynthesizable
-        prefix_error = f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
+        return [_failed(unit, s, STATUS_INFEASIBLE, error) for s in unit.scenarios]
 
-    skip = set(spec.skip_keys)
-    for i, pattern in enumerate(spec.fault_patterns):
-        if scenario_key(spec.assay, spec.array_size, pattern.name) in skip:
-            continue  # already journaled; the resume loads its record
-        if prefix_error is not None:
-            records.append(
-                ScenarioRecord(
-                    assay=spec.assay,
-                    array_size=spec.array_size,
-                    fault_pattern=pattern.name,
-                    faulty_cells=(),
-                    ok=False,
-                    # Nothing upstream completed, so nothing was reused.
-                    upstream_reused=False,
-                    error=prefix_error,
-                    status=STATUS_INFEASIBLE,
-                )
-            )
-            continue
-        assert base.placement_result is not None
-        width, height = base.placement_result.array_dims
+    assert base.placement_result is not None
+    width, height = base.placement_result.array_dims
+    records: list[ScenarioRecord] = []
+    for scenario in unit.scenarios:
+        pattern = scenario.params
         cells = pattern.resolve(width, height)
         ctx = base.fork(faulty_cells=cells)
         error = None
@@ -370,12 +347,12 @@ def _run_combo(spec: _ComboSpec) -> list[ScenarioRecord]:
             error = f"{type(exc).__name__}: {exc}"
         records.append(
             ScenarioRecord(
-                assay=spec.assay,
-                array_size=spec.array_size,
+                assay=assay,
+                array_size=size,
                 fault_pattern=pattern.name,
                 faulty_cells=cells,
                 ok=error is None,
-                upstream_reused=i > 0,
+                upstream_reused=scenario.position > 0,
                 error=error,
                 result=result,
                 status=STATUS_OK if error is None else STATUS_INFEASIBLE,
@@ -414,9 +391,14 @@ class BatchScenarioRunner:
             raise PipelineError("batch sweep needs at least one assay")
         if not fault_patterns:
             raise PipelineError("batch sweep needs at least one fault pattern")
-        names = [p.name for p in fault_patterns]
-        if len(set(names)) != len(names):
-            raise PipelineError(f"duplicate fault pattern names: {names}")
+        dupes = duplicate_keys(
+            scenario_key(assay, size, p.name)
+            for assay in assays
+            for size in array_sizes
+            for p in fault_patterns
+        )
+        if dupes:
+            raise PipelineError(f"duplicate scenario keys: {dupes}")
         injecting = [
             p.name
             for p in fault_patterns
@@ -440,38 +422,12 @@ class BatchScenarioRunner:
         self.route = route
         self.verify = verify
         self.seed = seed
-        if sim_engine not in ("event", "stepped"):
+        if sim_engine not in SIM_ENGINES:
             raise PipelineError(
                 f"unknown simulation engine {sim_engine!r}; "
-                "choose 'event' or 'stepped'"
+                f"choose from {SIM_ENGINES}"
             )
         self.sim_engine = sim_engine
-
-    def _combo_specs(self) -> list[_ComboSpec]:
-        """One spec per (assay, array size), with pre-derived seeds."""
-        rng = ensure_rng(self.seed)
-        specs = []
-        for assay, (graph, binding) in self.assays.items():
-            for size in self.array_sizes:
-                specs.append(
-                    _ComboSpec(
-                        assay=assay,
-                        graph=graph,
-                        explicit_binding=binding,
-                        array_size=size,
-                        fault_patterns=self.fault_patterns,
-                        seed=spawn_seed(rng),
-                        annealing=self.annealing,
-                        max_concurrent_ops=self.max_concurrent_ops,
-                        cell_capacity=self.cell_capacity,
-                        max_parked=self.max_parked,
-                        binding_strategy=self.binding_strategy,
-                        route=self.route,
-                        verify=self.verify,
-                        sim_engine=self.sim_engine,
-                    )
-                )
-        return specs
 
     def run(
         self,
@@ -485,80 +441,35 @@ class BatchScenarioRunner:
     ) -> BatchReport:
         """Execute the whole grid; ``jobs>1`` parallelizes over combos.
 
-        *journal_path* appends every completed (decided) scenario to a
-        crash-safe JSONL journal as combos finish; *resume_from* loads
-        such a journal and skips — then reloads — every journaled
-        scenario key. Because per-combo seeds are pre-derived from the
-        batch seed, a resumed report is bit-identical to an
-        uninterrupted run. A combo lost to worker crashes or deadline
-        overruns past *max_retries* contributes one structured failure
-        record per scenario (``status`` of ``crashed`` / ``timeout``);
-        those are never journaled, so a resume retries them.
+        Supervision, journaling and resume follow
+        :func:`repro.exec.run_scenarios`: a resumed report is
+        bit-identical to an uninterrupted run, and a combo lost past
+        *max_retries* yields one ``crashed`` / ``timeout`` record per
+        scenario, never journaled, so a resume retries it.
         """
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        done = load_journal(resume_from, kind=JOURNAL_KIND) if resume_from else {}
-        specs = self._combo_specs()
-        run_specs = []
-        for spec in specs:
-            skip = tuple(k for k in spec.pattern_keys() if k in done)
-            if len(skip) < len(spec.fault_patterns):
-                run_specs.append(replace(spec, skip_keys=skip))
-
         t0 = time.perf_counter()
-        computed: dict[str, ScenarioRecord] = {}
-        with (CampaignJournal(journal_path) if journal_path else NullJournal()) as journal:
-
-            def on_outcome(out) -> None:
-                if not out.ok:
-                    return
-                for rec in out.value:
-                    # Crash/timeout records never reach here (out.value
-                    # exists only when the combo ran to completion), so
-                    # everything journaled is a decided scenario.
-                    journal.append(JOURNAL_KIND, rec.key, rec.to_dict())
-
-            pool = SupervisedPool(
-                jobs=min(jobs, len(run_specs)) if run_specs else 1,
-                task_timeout=task_timeout,
-                max_retries=max_retries,
-                chaos=chaos,
-            )
-            outs = pool.map(
-                _run_combo,
-                run_specs,
-                keys=[scenario_key(s.assay, s.array_size, "*") for s in run_specs],
-                on_outcome=on_outcome,
-            )
-        for spec, out in zip(run_specs, outs):
-            if out.ok:
-                for rec in out.value:
-                    computed[rec.key] = rec
-            else:
-                skip = set(spec.skip_keys)
-                for pattern in spec.fault_patterns:
-                    key = scenario_key(spec.assay, spec.array_size, pattern.name)
-                    if key in skip:
-                        continue
-                    computed[key] = ScenarioRecord(
-                        assay=spec.assay,
-                        array_size=spec.array_size,
-                        fault_pattern=pattern.name,
-                        faulty_cells=(),
-                        ok=False,
-                        upstream_reused=False,
-                        error=out.error,
-                        status=out.status,
-                    )
-
-        records = []
-        for spec in specs:
-            for pattern in spec.fault_patterns:
-                key = scenario_key(spec.assay, spec.array_size, pattern.name)
-                if key in computed:
-                    records.append(computed[key])
-                else:
-                    records.append(ScenarioRecord.from_journal(done[key]))
+        # Each unit carries the runner itself: workers read its knobs
+        # and the combo's graph from it.
+        records, _ = run_scenarios(
+            _run_combo,
+            (
+                (combo_key(assay, size), (self, assay, size),
+                 scenario_key(assay, size, p.name), p)
+                for assay in self.assays
+                for size in self.array_sizes
+                for p in self.fault_patterns
+            ),
+            seed=self.seed,
+            kind=JOURNAL_KIND,
+            resumed=ScenarioRecord.from_journal,
+            failed=_failed,
+            jobs=jobs,
+            task_timeout=task_timeout,
+            max_retries=max_retries,
+            chaos=chaos,
+            journal_path=journal_path,
+            resume_from=resume_from,
+        )
         return BatchReport(
             seed=self.seed,
             jobs=jobs,

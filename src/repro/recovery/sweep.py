@@ -17,33 +17,30 @@ seed behavior for the permanent model) or ``closed-loop``
 (:class:`~repro.recovery.closedloop.ClosedLoopController` with a
 configurable noisy sensor: detections only via probe campaigns).
 
-Execution mirrors :mod:`repro.pipeline.batch`: one worker unit per
-assay (the nominal synthesis — the fault-independent prefix — is
-computed once and reused by every scenario of that assay, and the
-checkpoint at each arrival time is shared across fault patterns),
-fanned across a :class:`repro.exec.SupervisedPool` with ``jobs > 1``.
-Per-assay and per-scenario seeds are derived up front from the sweep
-seed, so the report is bit-identical for any worker count
-(property-tested). An assay block lost to worker crashes or deadline
-overruns past the retry budget still contributes one structured
-failure record per scenario; completed scenarios can be journaled to a
-crash-safe JSONL file and resumed without recomputation.
+Execution mirrors :mod:`repro.pipeline.batch` on
+:func:`repro.exec.run_scenarios`: one worker unit per assay (the
+nominal synthesis — the fault-independent prefix — is computed once and
+reused by every scenario of that assay, and the checkpoint at each
+arrival time is shared across fault patterns), fanned across a
+supervised pool with ``jobs > 1``. The synthesis seed is derived from
+the sweep seed and the assay name, each scenario seed from the sweep
+seed and the scenario key, so the report is bit-identical for any
+worker count (property-tested), any grid order and any resume split.
+An assay block lost to worker crashes or deadline overruns past the
+retry budget still contributes one structured failure record per
+scenario; completed scenarios can be journaled to a crash-safe JSONL
+file and resumed without recomputation.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay, is_generator_spec
-from repro.exec import (
-    STATUS_OK,
-    CampaignJournal,
-    NullJournal,
-    SupervisedPool,
-    load_journal,
-)
+from repro.exec import STATUS_INFEASIBLE, STATUS_OK
+from repro.exec.scenarios import Scenario, Unit, duplicate_keys, run_scenarios
 from repro.fault.models import CLEAR, FAIL, FAULT_MODELS, FaultEvent
 from repro.geometry import Point
 from repro.pipeline.context import SynthesisContext
@@ -56,54 +53,21 @@ from repro.recovery.engine import (
     OnlineRecoveryEngine,
     pick_fault_cell,
 )
+from repro.sim.engine import SIM_ENGINES
 from repro.testing.detector import CapacitiveSensor
 from repro.util.errors import RecoveryError, ReproError
-from repro.util.rng import ensure_rng, spawn_rng, spawn_seed
+from repro.util.rng import ensure_rng
 from repro.util.tables import format_table
 
-#: Journal record kind written by :class:`MonteCarloRecoverySweep`.
-JOURNAL_KIND = "recovery-scenario"
+#: Journal record kind written by :class:`MonteCarloRecoverySweep`. The
+#: ``-v2`` marks content-derived seeds: a journal from the positional
+#: seed scheme is recomputed, never mixed with new records.
+JOURNAL_KIND = "recovery-scenario-v2"
 
 
 def sweep_key(assay: str, time_fraction: float, target: str) -> str:
     """Stable identity of one sweep cell, e.g. ``pcr|0.5|street``."""
     return f"{assay}|{time_fraction:g}|{target}"
-
-
-@dataclass(frozen=True)
-class _SweepSpec:
-    """Everything a worker needs for one assay's scenario block."""
-
-    assay: str
-    time_fractions: tuple[float, ...]
-    targets: tuple[str, ...]
-    seed: int
-    scenario_seeds: tuple[int, ...]
-    annealing: AnnealingParams | None
-    recovery_annealing: AnnealingParams | None
-    max_concurrent_ops: int | None
-    max_parked: int | None = None
-    sim_engine: str = "event"
-    #: Fault process (:data:`repro.fault.models.FAULT_MODELS` name) the
-    #: scenarios realize; ``permanent`` is the historical single fault.
-    fault_model: str = "permanent"
-    #: ``oracle`` (ground-truth detection, the historical path) or
-    #: ``closed-loop`` (sensed detection via probe campaigns).
-    detection: str = "oracle"
-    sensor_fpr: float = 0.0
-    sensor_fnr: float = 0.0
-    sensor_latency_s: float = 0.0
-    #: Scenario keys already journaled — the worker skips these while
-    #: still consuming their pre-derived seeds, so the remaining
-    #: scenarios use exactly the seeds an uninterrupted run would.
-    skip_keys: tuple[str, ...] = ()
-
-    def scenario_keys(self) -> list[str]:
-        return [
-            sweep_key(self.assay, f, t)
-            for f in self.time_fractions
-            for t in self.targets
-        ]
 
 
 @dataclass
@@ -149,57 +113,16 @@ class RecoveryRecord:
         return sweep_key(self.assay, self.time_fraction, self.target)
 
     def to_dict(self) -> dict:
-        return {
-            "assay": self.assay,
-            "time_fraction": self.time_fraction,
-            "target": self.target,
-            "fault_time_s": self.fault_time_s,
-            "fault_cell": (
-                [self.fault_cell.x, self.fault_cell.y] if self.fault_cell else None
-            ),
-            "recovered": self.recovered,
-            "reason": self.reason,
-            "makespan_penalty_s": self.makespan_penalty_s,
-            "replace_s": self.replace_s,
-            "reroute_s": self.reroute_s,
-            "recovery_s": self.recovery_s,
-            "rerouted_nets": self.rerouted_nets,
-            "reused_epochs": self.reused_epochs,
-            "upstream_reused": self.upstream_reused,
-            "status": self.status,
-            "detection": self.detection,
-            "fault_model": self.fault_model,
-            "detection_latency_s": self.detection_latency_s,
-            "ladder_rung": self.ladder_rung,
-            "false_alarms": self.false_alarms,
-        }
+        """Every field, in declaration order; the cell as ``[x, y]``."""
+        cell = self.fault_cell
+        return {**asdict(self), "fault_cell": [cell.x, cell.y] if cell else None}
 
     @classmethod
     def from_dict(cls, record: dict) -> RecoveryRecord:
-        """Rebuild a journaled record (all fields are scalars)."""
-        cell = record.get("fault_cell")
-        return cls(
-            assay=record["assay"],
-            time_fraction=record["time_fraction"],
-            target=record["target"],
-            fault_time_s=record["fault_time_s"],
-            fault_cell=Point(*cell) if cell else None,
-            recovered=record["recovered"],
-            reason=record.get("reason"),
-            makespan_penalty_s=record["makespan_penalty_s"],
-            replace_s=record["replace_s"],
-            reroute_s=record["reroute_s"],
-            recovery_s=record["recovery_s"],
-            rerouted_nets=record["rerouted_nets"],
-            reused_epochs=record["reused_epochs"],
-            upstream_reused=record["upstream_reused"],
-            status=record.get("status", STATUS_OK),
-            detection=record.get("detection", "oracle"),
-            fault_model=record.get("fault_model", "permanent"),
-            detection_latency_s=record.get("detection_latency_s", 0.0),
-            ladder_rung=record.get("ladder_rung"),
-            false_alarms=record.get("false_alarms", 0),
-        )
+        """Rebuild a record from its :meth:`to_dict` (journal kind
+        ``recovery-scenario-v2`` only carries complete records)."""
+        cell = record["fault_cell"]
+        return cls(**{**record, "fault_cell": Point(*cell) if cell else None})
 
 
 @dataclass
@@ -361,156 +284,137 @@ def scenario_events(
     )
 
 
-def _run_sweep_combo(spec: _SweepSpec) -> list[RecoveryRecord]:
-    """One assay's block: synthesize the nominal configuration once,
-    then recover it from every (arrival x target) scenario.
+def _failed(
+    unit: Unit, scenario: Scenario, status: str, error: str | None
+) -> RecoveryRecord:
+    """A scenario whose assay block never produced a nominal design."""
+    fraction, target = scenario.params
+    return RecoveryRecord(
+        assay=unit.key, time_fraction=fraction, target=target,
+        fault_time_s=0.0, fault_cell=None, recovered=False, reason=error,
+        makespan_penalty_s=0.0, replace_s=0.0, reroute_s=0.0, recovery_s=0.0,
+        rerouted_nets=0, reused_epochs=0, status=status,
+    )
 
-    Scenario keys in ``spec.skip_keys`` are skipped (the resume loads
-    their journaled records) — but their pre-derived seeds are still
-    consumed, so the computed scenarios draw exactly the seeds an
-    uninterrupted run would.
-    """
-    skip = set(spec.skip_keys)
-    graph, binding = build_assay(spec.assay)
-    rng = ensure_rng(spec.seed)
-    placer = SimulatedAnnealingPlacer(params=spec.annealing, seed=spawn_rng(rng))
-    pipeline = build_default_pipeline(placer=placer, seed=rng,
-                                      max_concurrent_ops=spec.max_concurrent_ops,
-                                      max_parked=spec.max_parked,
+
+def _run_sweep_combo(unit: Unit) -> list[RecoveryRecord]:
+    """One assay's block: synthesize the nominal configuration once,
+    then recover it from every (arrival x target) scenario."""
+    sweep, assay = unit.params, unit.key
+    graph, binding = build_assay(assay)
+    placer = SimulatedAnnealingPlacer(params=sweep.annealing, seed=unit.seed)
+    pipeline = build_default_pipeline(placer=placer,
+                                      max_concurrent_ops=sweep.max_concurrent_ops,
+                                      max_parked=sweep.max_parked,
                                       route=True)
     context = SynthesisContext(graph=graph, explicit_binding=binding)
-    records: list[RecoveryRecord] = []
     try:
         pipeline.run(context)
         result = context.result()
     except ReproError as exc:
         reason = f"nominal synthesis failed: {type(exc).__name__}: {exc}"
-        return [
-            RecoveryRecord(
-                assay=spec.assay, time_fraction=f, target=t, fault_time_s=0.0,
-                fault_cell=None, recovered=False, reason=reason,
-                makespan_penalty_s=0.0, replace_s=0.0, reroute_s=0.0,
-                recovery_s=0.0, rerouted_nets=0, reused_epochs=0,
-            )
-            for f in spec.time_fractions
-            for t in spec.targets
-            if sweep_key(spec.assay, f, t) not in skip
-        ]
+        return [_failed(unit, s, STATUS_INFEASIBLE, reason) for s in unit.scenarios]
 
     engine = OnlineRecoveryEngine(
-        annealing=spec.recovery_annealing, sim_engine=spec.sim_engine
+        annealing=sweep.recovery_annealing, sim_engine=sweep.sim_engine
     )
     #: The historical fast path — a single permanent fault with oracle
     #: knowledge — calls the engine directly and stays bit-identical to
     #: the seed behavior; everything else goes through the controller.
-    legacy = spec.detection == "oracle" and spec.fault_model == "permanent"
+    legacy = sweep.detection == "oracle" and sweep.fault_model == "permanent"
     controller = None
     if not legacy:
         sensor = CapacitiveSensor(
-            false_positive_rate=spec.sensor_fpr,
-            false_negative_rate=spec.sensor_fnr,
-            latency_s=spec.sensor_latency_s,
+            false_positive_rate=sweep.sensor_fpr,
+            false_negative_rate=sweep.sensor_fnr,
+            latency_s=sweep.sensor_latency_s,
         )
         controller = ClosedLoopController(engine=engine, sensor=sensor)
     width, height = result.placement_result.placement.array_dims()
     makespan = result.schedule.makespan
-    seeds = iter(spec.scenario_seeds)
-    sidx = 0  # position in the block; 0 computed the nominal synthesis
-    for fraction in spec.time_fractions:
+    # One checkpoint (or its error) per arrival, shared across targets.
+    checkpoints: dict[float, object] = {}
+    records: list[RecoveryRecord] = []
+    for sc in unit.scenarios:
+        fraction, target = sc.params
         fault_time = fraction * makespan
-        wanted = [t for t in spec.targets if sweep_key(spec.assay, fraction, t) not in skip]
-        if not wanted:
-            # Whole arrival skipped: no checkpoint needed, but the
-            # scenarios' seeds are still consumed positionally.
-            for _ in spec.targets:
-                next(seeds)
-                sidx += 1
+        reused = sc.position > 0
+        if fraction not in checkpoints:
+            try:
+                checkpoints[fraction] = engine.checkpoint_of(result, fault_time)
+            except ReproError as exc:
+                checkpoints[fraction] = exc
+        checkpoint = checkpoints[fraction]
+        if isinstance(checkpoint, ReproError):
+            error = f"{type(checkpoint).__name__}: {checkpoint}"
+            records.append(replace(
+                _failed(unit, sc, STATUS_INFEASIBLE, error),
+                fault_time_s=fault_time, upstream_reused=reused,
+            ))
             continue
-        checkpoint = None
-        try:
-            checkpoint = engine.checkpoint_of(result, fault_time)
-        except (RecoveryError, ReproError) as exc:
-            checkpoint_error = f"{type(exc).__name__}: {exc}"
-        for target in spec.targets:
-            scenario_seed = next(seeds)
-            reused = sidx > 0
-            sidx += 1
-            if target not in wanted:
-                continue
-            if checkpoint is None:
-                records.append(
-                    RecoveryRecord(
-                        assay=spec.assay, time_fraction=fraction, target=target,
-                        fault_time_s=fault_time, fault_cell=None, recovered=False,
-                        reason=checkpoint_error, makespan_penalty_s=0.0,
-                        replace_s=0.0, reroute_s=0.0, recovery_s=0.0,
-                        rerouted_nets=0, reused_epochs=0, upstream_reused=reused,
-                    )
-                )
-                continue
-            scenario_rng = ensure_rng(scenario_seed)
-            cell = pick_fault_cell(result, checkpoint, target, rng=scenario_rng)
-            if legacy:
-                outcome = engine.recover(
-                    result, [cell], fault_time, seed=scenario_rng,
-                    checkpoint=checkpoint,
-                )
-                records.append(
-                    RecoveryRecord(
-                        assay=spec.assay,
-                        time_fraction=fraction,
-                        target=target,
-                        fault_time_s=fault_time,
-                        fault_cell=cell,
-                        recovered=outcome.recovered,
-                        reason=outcome.reason,
-                        makespan_penalty_s=outcome.makespan_penalty_s,
-                        replace_s=outcome.replace_s,
-                        reroute_s=outcome.reroute_s,
-                        recovery_s=outcome.recovery_s,
-                        rerouted_nets=outcome.rerouted_nets,
-                        reused_epochs=outcome.reused_epochs,
-                        upstream_reused=reused,
-                        ladder_rung=outcome.rung if outcome.recovered else None,
-                    )
-                )
-                continue
-            events = scenario_events(
-                spec.fault_model, cell, fault_time, makespan,
-                width, height, scenario_rng,
+        scenario_rng = ensure_rng(sc.seed)
+        cell = pick_fault_cell(result, checkpoint, target, rng=scenario_rng)
+        if legacy:
+            outcome = engine.recover(
+                result, [cell], fault_time, seed=scenario_rng,
+                checkpoint=checkpoint,
             )
-            assert controller is not None
-            out = controller.run(
-                result, events, seed=scenario_rng, mode=spec.detection
-            )
-            latencies = out.detection_latencies
             records.append(
                 RecoveryRecord(
-                    assay=spec.assay,
+                    assay=assay,
                     time_fraction=fraction,
                     target=target,
                     fault_time_s=fault_time,
                     fault_cell=cell,
-                    recovered=out.completed,
-                    reason=out.reason,
-                    makespan_penalty_s=out.makespan_penalty_s,
-                    replace_s=sum(r.replace_s for r in out.recoveries),
-                    reroute_s=sum(r.reroute_s for r in out.recoveries),
-                    recovery_s=sum(r.recovery_s for r in out.recoveries),
-                    rerouted_nets=sum(r.rerouted_nets for r in out.recoveries),
-                    reused_epochs=(
-                        out.recoveries[-1].reused_epochs if out.recoveries else 0
-                    ),
+                    recovered=outcome.recovered,
+                    reason=outcome.reason,
+                    makespan_penalty_s=outcome.makespan_penalty_s,
+                    replace_s=outcome.replace_s,
+                    reroute_s=outcome.reroute_s,
+                    recovery_s=outcome.recovery_s,
+                    rerouted_nets=outcome.rerouted_nets,
+                    reused_epochs=outcome.reused_epochs,
                     upstream_reused=reused,
-                    detection=spec.detection,
-                    fault_model=spec.fault_model,
-                    detection_latency_s=(
-                        sum(latencies) / len(latencies) if latencies else None
-                    ),
-                    ladder_rung=out.final_rung,
-                    false_alarms=len(out.false_alarms),
+                    ladder_rung=outcome.rung if outcome.recovered else None,
                 )
             )
+            continue
+        events = scenario_events(
+            sweep.fault_model, cell, fault_time, makespan,
+            width, height, scenario_rng,
+        )
+        assert controller is not None
+        out = controller.run(
+            result, events, seed=scenario_rng, mode=sweep.detection
+        )
+        latencies = out.detection_latencies
+        records.append(
+            RecoveryRecord(
+                assay=assay,
+                time_fraction=fraction,
+                target=target,
+                fault_time_s=fault_time,
+                fault_cell=cell,
+                recovered=out.completed,
+                reason=out.reason,
+                makespan_penalty_s=out.makespan_penalty_s,
+                replace_s=sum(r.replace_s for r in out.recoveries),
+                reroute_s=sum(r.reroute_s for r in out.recoveries),
+                recovery_s=sum(r.recovery_s for r in out.recoveries),
+                rerouted_nets=sum(r.rerouted_nets for r in out.recoveries),
+                reused_epochs=(
+                    out.recoveries[-1].reused_epochs if out.recoveries else 0
+                ),
+                upstream_reused=reused,
+                detection=sweep.detection,
+                fault_model=sweep.fault_model,
+                detection_latency_s=(
+                    sum(latencies) / len(latencies) if latencies else None
+                ),
+                ladder_rung=out.final_rung,
+                false_alarms=len(out.false_alarms),
+            )
+        )
     return records
 
 
@@ -560,6 +464,11 @@ class MonteCarloRecoverySweep:
                 raise RecoveryError(
                     f"fault-arrival fractions must be in [0, 1), got {f}"
                 )
+        dupes = duplicate_keys(
+            sweep_key(a, f, t) for a in assays for f in time_fractions for t in targets
+        )
+        if dupes:
+            raise RecoveryError(f"duplicate scenario keys: {dupes}")
         self.assays = tuple(assays)
         self.time_fractions = tuple(time_fractions)
         self.targets = tuple(targets)
@@ -568,10 +477,10 @@ class MonteCarloRecoverySweep:
         self.max_concurrent_ops = max_concurrent_ops
         self.max_parked = max_parked
         self.seed = seed
-        if sim_engine not in ("event", "stepped"):
+        if sim_engine not in SIM_ENGINES:
             raise RecoveryError(
                 f"unknown simulation engine {sim_engine!r}; "
-                "choose 'event' or 'stepped'"
+                f"choose from {SIM_ENGINES}"
             )
         self.sim_engine = sim_engine
         if fault_model not in FAULT_MODELS:
@@ -597,35 +506,6 @@ class MonteCarloRecoverySweep:
         self.sensor_fnr = sensor_fnr
         self.sensor_latency_s = sensor_latency_s
 
-    def _specs(self) -> list[_SweepSpec]:
-        """One spec per assay with all seeds pre-derived (jobs-invariant)."""
-        rng = ensure_rng(self.seed)
-        n_scenarios = len(self.time_fractions) * len(self.targets)
-        specs = []
-        for assay in self.assays:
-            combo_seed = spawn_seed(rng)
-            scenario_seeds = tuple(spawn_seed(rng) for _ in range(n_scenarios))
-            specs.append(
-                _SweepSpec(
-                    assay=assay,
-                    time_fractions=self.time_fractions,
-                    targets=self.targets,
-                    seed=combo_seed,
-                    scenario_seeds=scenario_seeds,
-                    annealing=self.annealing,
-                    recovery_annealing=self.recovery_annealing,
-                    max_concurrent_ops=self.max_concurrent_ops,
-                    max_parked=self.max_parked,
-                    sim_engine=self.sim_engine,
-                    fault_model=self.fault_model,
-                    detection=self.detection,
-                    sensor_fpr=self.sensor_fpr,
-                    sensor_fnr=self.sensor_fnr,
-                    sensor_latency_s=self.sensor_latency_s,
-                )
-            )
-        return specs
-
     def run(
         self,
         jobs: int = 1,
@@ -638,73 +518,33 @@ class MonteCarloRecoverySweep:
     ) -> RecoverySweepReport:
         """Execute the grid; ``jobs > 1`` parallelizes over assays.
 
-        *journal_path* appends every decided scenario to a crash-safe
-        JSONL journal; *resume_from* skips — then reloads — journaled
-        scenario keys, bit-identical to an uninterrupted run (skipped
-        scenarios still consume their pre-derived seeds). An assay
-        block lost past *max_retries* yields one failure record per
-        scenario (``status`` ``crashed`` / ``timeout``); those are not
-        journaled, so a resume retries them.
+        Supervision, journaling and resume follow
+        :func:`repro.exec.run_scenarios`: a resumed report is
+        bit-identical to an uninterrupted run, and a assay block lost past
+        *max_retries* yields one ``crashed`` / ``timeout`` record per
+        scenario, never journaled, so a resume retries it.
         """
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        done = load_journal(resume_from, kind=JOURNAL_KIND) if resume_from else {}
-        specs = self._specs()
-        run_specs = []
-        for spec in specs:
-            skip = tuple(k for k in spec.scenario_keys() if k in done)
-            if len(skip) < len(spec.scenario_keys()):
-                run_specs.append(replace(spec, skip_keys=skip))
-
         t0 = time.perf_counter()
-        computed: dict[str, RecoveryRecord] = {}
-        with (CampaignJournal(journal_path) if journal_path else NullJournal()) as journal:
-
-            def on_outcome(out) -> None:
-                if not out.ok:
-                    return
-                for rec in out.value:
-                    journal.append(JOURNAL_KIND, rec.key, rec.to_dict())
-
-            pool = SupervisedPool(
-                jobs=min(jobs, len(run_specs)) if run_specs else 1,
-                task_timeout=task_timeout,
-                max_retries=max_retries,
-                chaos=chaos,
-            )
-            outs = pool.map(
-                _run_sweep_combo,
-                run_specs,
-                keys=[f"{s.assay}|*|*" for s in run_specs],
-                on_outcome=on_outcome,
-            )
-        for spec, out in zip(run_specs, outs):
-            if out.ok:
-                for rec in out.value:
-                    computed[rec.key] = rec
-            else:
-                skip = set(spec.skip_keys)
-                for fraction in spec.time_fractions:
-                    for target in spec.targets:
-                        key = sweep_key(spec.assay, fraction, target)
-                        if key in skip:
-                            continue
-                        computed[key] = RecoveryRecord(
-                            assay=spec.assay, time_fraction=fraction,
-                            target=target, fault_time_s=0.0, fault_cell=None,
-                            recovered=False, reason=out.error,
-                            makespan_penalty_s=0.0, replace_s=0.0,
-                            reroute_s=0.0, recovery_s=0.0, rerouted_nets=0,
-                            reused_epochs=0, status=out.status,
-                        )
-
-        records = []
-        for spec in specs:
-            for key in spec.scenario_keys():
-                if key in computed:
-                    records.append(computed[key])
-                else:
-                    records.append(RecoveryRecord.from_dict(done[key]))
+        # One unit per assay, carrying the sweep itself for its knobs.
+        records, _ = run_scenarios(
+            _run_sweep_combo,
+            (
+                (assay, self, sweep_key(assay, f, t), (f, t))
+                for assay in self.assays
+                for f in self.time_fractions
+                for t in self.targets
+            ),
+            seed=self.seed,
+            kind=JOURNAL_KIND,
+            resumed=RecoveryRecord.from_dict,
+            failed=_failed,
+            jobs=jobs,
+            task_timeout=task_timeout,
+            max_retries=max_retries,
+            chaos=chaos,
+            journal_path=journal_path,
+            resume_from=resume_from,
+        )
         return RecoverySweepReport(
             seed=self.seed,
             jobs=jobs,

@@ -66,6 +66,10 @@ from repro.util.errors import (
 #: chips' unit droplet at 1.5 mm pitch / 600 um gap).
 UNIT_DROPLET_NL = 900.0
 
+#: Simulation engines: ``event`` (the fast path) and ``stepped`` (the
+#: bit-identical reference).
+SIM_ENGINES = ("event", "stepped")
+
 
 @dataclass(frozen=True)
 class SimEvent:
@@ -371,9 +375,9 @@ class BiochipSimulator:
     ) -> None:
         if margin < 1:
             raise ValueError(f"margin must be >= 1 (droplets need route lanes), got {margin}")
-        if engine not in ("event", "stepped"):
+        if engine not in SIM_ENGINES:
             raise ValueError(
-                f"unknown simulation engine {engine!r}; choose 'event' or 'stepped'"
+                f"unknown simulation engine {engine!r}; choose from {SIM_ENGINES}"
             )
         self.engine = engine
         self.graph = graph

@@ -16,12 +16,13 @@ or host-dependent fields and every random draw is derived by hashing
 the campaign seed with the scenario key, so the record stream is
 byte-identical for any ``--jobs`` and for any resume split.
 
-Seed-derivation contract (the reason records are jobs-invariant):
+Seed-derivation contract (the reason records are jobs-invariant), with
+:func:`repro.util.rng.derive_seed`:
 
-* synthesis seed   = ``sha256(campaign_seed | "synthesis" | unit key)``
+* synthesis seed   = ``derive_seed(campaign_seed, "synthesis", unit key)``
   where the unit key is ``spec|array`` — shared by every scenario of
   that unit, so one synthesized prefix serves all its fault suffixes;
-* scenario seed    = ``sha256(campaign_seed | "scenario" | scenario key)``
+* scenario seed    = ``derive_seed(campaign_seed, "scenario", scenario key)``
   — drives fault placement, fault-process realization, and sensor
   noise, independent of expansion order, worker assignment, or which
   scenarios a resume skips.
@@ -29,7 +30,6 @@ Seed-derivation contract (the reason records are jobs-invariant):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -37,15 +37,10 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.exec import (
-    STATUS_OK,
-    STATUS_RETRIED_OK,
-    CampaignJournal,
-    NullJournal,
-    SupervisedPool,
-    load_journal,
-)
+from repro.exec import STATUS_OK, STATUS_RETRIED_OK
+from repro.exec.scenarios import Scenario, Unit, run_scenarios
 from repro.util.errors import ReproError, UsageError
+from repro.util.rng import derive_seed  # noqa: F401  (re-exported)
 from repro.util.tables import format_table
 
 if TYPE_CHECKING:
@@ -61,19 +56,11 @@ META_KIND = "campaign-meta"
 #: ``kind`` under which decided scenarios land in a --journal file.
 CAMPAIGN_JOURNAL_KIND = "campaign-scenario"
 
-SIM_ENGINES = ("event", "stepped")
-
 #: Terminal statuses a log record may carry. ``retried-then-ok``
 #: normalizes to ``ok`` on the way into the log: retry counts are
 #: supervision telemetry (they vary under injected chaos), not scenario
 #: results, and the log must stay byte-identical across schedules.
 RECORD_STATUSES = ("ok", "infeasible", "timeout", "crashed")
-
-
-def derive_seed(*parts: str) -> int:
-    """A 63-bit seed from hashing *parts* (the derivation contract)."""
-    digest = hashlib.sha256("\x1f".join(parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 # -- config ------------------------------------------------------------------
@@ -288,6 +275,7 @@ class CampaignConfig:
         """The full deterministic scenario list, in grid order."""
         from repro.assay.catalog import BUNDLED_ASSAYS, is_generator_spec
         from repro.fault.models import FAULT_MODELS
+        from repro.sim.engine import SIM_ENGINES
         from repro.workload.generator import GeneratorSpec
 
         scenarios: list[CampaignScenario] = []
@@ -438,35 +426,6 @@ _RECORD_FIELD_TYPES: dict[str, tuple[type, ...]] = {
 # -- the execution unit (module level: must pickle into pool workers) --------
 
 
-@dataclass(frozen=True)
-class _SuffixSpec:
-    """One scenario of a unit: the fault-dependent part."""
-
-    key: str
-    index: int
-    fault_model: str
-    sensor: SensorSpec
-    engine: str
-    seed: int
-
-
-@dataclass(frozen=True)
-class _UnitSpec:
-    """One (spec, array) synthesis plus its scenario suffixes."""
-
-    spec: str
-    array: tuple[int, int] | None
-    synth_seed: int
-    suffixes: tuple[_SuffixSpec, ...]
-    max_concurrent: int
-    max_parked: int | None
-    fast: bool
-
-    @property
-    def key(self) -> str:
-        return f"{self.spec}|{array_key(self.array)}"
-
-
 def _spec_meta(spec: str) -> tuple[str | None, int | None]:
     """(family, n) for a gen: spec; (None, None) for bundled names."""
     from repro.assay.catalog import is_generator_spec
@@ -512,8 +471,27 @@ def _recovery_summary(outcome) -> dict:
     }
 
 
-def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
-    """Synthesize once, then run every fault suffix on the result."""
+def _record(
+    unit: Unit,
+    scenario: Scenario,
+    status: str,
+    error: str | None = None,
+    **payload,
+) -> CampaignRecord:
+    """One scenario's record; *payload* is its synthesis/recovery."""
+    sc: CampaignScenario = scenario.params
+    family, n = _spec_meta(sc.spec)
+    return CampaignRecord(
+        key=sc.key, index=sc.index, spec=sc.spec, family=family, n=n,
+        array=array_key(sc.array), fault_model=sc.fault_model,
+        sensor=sc.sensor.to_dict(), engine=sc.engine, seed=scenario.seed,
+        status=status, error=error, **payload,
+    )
+
+
+def _run_unit(unit: Unit) -> list[CampaignRecord]:
+    """Synthesize one ``spec|array`` unit once, then run every fault
+    suffix on the result."""
     from repro.assay.catalog import build_assay
     from repro.placement.annealer import AnnealingParams
     from repro.placement.sa_placer import SimulatedAnnealingPlacer
@@ -524,46 +502,36 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
     from repro.testing.detector import CapacitiveSensor
     from repro.util.rng import ensure_rng
 
-    family, n = _spec_meta(unit.spec)
-    params = AnnealingParams.fast() if unit.fast else AnnealingParams.balanced()
-
-    def record(suffix: _SuffixSpec, **kwargs) -> CampaignRecord:
-        return CampaignRecord(
-            key=suffix.key, index=suffix.index, spec=unit.spec, family=family,
-            n=n, array=array_key(unit.array), fault_model=suffix.fault_model,
-            sensor=suffix.sensor.to_dict(), engine=suffix.engine,
-            seed=suffix.seed, **kwargs,
-        )
-
-    core_w, core_h = unit.array if unit.array else (None, None)
+    config, spec, array = unit.params
+    params = AnnealingParams.fast() if config.fast else AnnealingParams.balanced()
+    core_w, core_h = array if array else (None, None)
     try:
-        graph, binding = build_assay(unit.spec)
+        graph, binding = build_assay(spec)
         flow = SynthesisFlow(
             placer=SimulatedAnnealingPlacer(
                 params=params, core_width=core_w, core_height=core_h,
-                seed=unit.synth_seed,
+                seed=unit.seed,
             ),
-            max_concurrent_ops=unit.max_concurrent,
-            max_parked=unit.max_parked,
-            seed=unit.synth_seed,
+            max_concurrent_ops=config.max_concurrent,
+            max_parked=config.max_parked,
+            seed=unit.seed,
             route=True,
         )
         result = flow.run(graph, explicit_binding=binding)
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
-        return [
-            record(s, status="infeasible", error=error) for s in unit.suffixes
-        ]
+        return [_record(unit, s, "infeasible", error) for s in unit.scenarios]
 
     synthesis = _synthesis_summary(result)
     makespan = result.schedule.makespan
     width, height = result.placement_result.placement.array_dims()
 
     records = []
-    for suffix in unit.suffixes:
-        rng = ensure_rng(suffix.seed)
+    for scenario in unit.scenarios:
+        suffix: CampaignScenario = scenario.params
+        rng = ensure_rng(scenario.seed)
         engine = OnlineRecoveryEngine(
-            annealing=params if unit.fast else None, sim_engine=suffix.engine
+            annealing=params if config.fast else None, sim_engine=suffix.engine
         )
         controller = ClosedLoopController(
             engine=engine,
@@ -587,16 +555,16 @@ def _run_unit(unit: _UnitSpec) -> list[CampaignRecord]:
                     width, height, rng,
                 )
             outcome = controller.run(
-                result, events, seed=suffix.seed, mode="closed-loop"
+                result, events, seed=scenario.seed, mode="closed-loop"
             )
         except ReproError as exc:
-            records.append(record(
-                suffix, status="infeasible",
-                error=f"{type(exc).__name__}: {exc}", synthesis=synthesis,
+            records.append(_record(
+                unit, scenario, "infeasible",
+                f"{type(exc).__name__}: {exc}", synthesis=synthesis,
             ))
             continue
-        records.append(record(
-            suffix, status="ok", synthesis=synthesis,
+        records.append(_record(
+            unit, scenario, "ok", synthesis=synthesis,
             recovery=_recovery_summary(outcome),
         ))
     return records
@@ -697,40 +665,6 @@ class CampaignRunner:
     def __init__(self, config: CampaignConfig) -> None:
         self.config = config
 
-    def _units(
-        self, scenarios: list[CampaignScenario], done: Mapping[str, dict]
-    ) -> tuple[list[_UnitSpec], list[CampaignRecord]]:
-        """Group scenarios into synthesis units, splitting off resumed
-        records. Unit order follows first appearance in grid order."""
-        seed = str(self.config.seed)
-        resumed: list[CampaignRecord] = []
-        grouped: dict[str, list[_SuffixSpec]] = {}
-        arrays: dict[str, tuple[int, int] | None] = {}
-        specs: dict[str, str] = {}
-        for sc in scenarios:
-            if sc.key in done:
-                resumed.append(CampaignRecord.from_dict(done[sc.key]))
-                continue
-            grouped.setdefault(sc.unit_key, []).append(_SuffixSpec(
-                key=sc.key, index=sc.index, fault_model=sc.fault_model,
-                sensor=sc.sensor, engine=sc.engine,
-                seed=derive_seed(seed, "scenario", sc.key),
-            ))
-            arrays[sc.unit_key] = sc.array
-            specs[sc.unit_key] = sc.spec
-        units = [
-            _UnitSpec(
-                spec=specs[k], array=arrays[k],
-                synth_seed=derive_seed(seed, "synthesis", k),
-                suffixes=tuple(suffixes),
-                max_concurrent=self.config.max_concurrent,
-                max_parked=self.config.max_parked,
-                fast=self.config.fast,
-            )
-            for k, suffixes in grouped.items()
-        ]
-        return units, resumed
-
     def run(
         self,
         log_path: str | os.PathLike,
@@ -755,11 +689,6 @@ class CampaignRunner:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         t0 = time.perf_counter()
         scenarios = self.config.expand()
-        done = load_journal(resume_from, kind=CAMPAIGN_JOURNAL_KIND) \
-            if resume_from else {}
-        units, resumed = self._units(scenarios, done)
-
-        by_key: dict[str, CampaignRecord] = {r.key: r for r in resumed}
         meta = {
             "v": RECORD_SCHEMA_VERSION,
             "kind": META_KIND,
@@ -768,65 +697,31 @@ class CampaignRunner:
             "scenario_count": len(scenarios),
         }
 
-        with open(log_path, "w", encoding="utf-8") as fh, \
-                (CampaignJournal(journal_path) if journal_path
-                 else NullJournal()) as journal:
-            # The log is written strictly in scenario-index order; one
-            # "position" per unit, claimed in unit order, plus a final
-            # flush position for the grid-order assembly below.
+        with open(log_path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(meta, sort_keys=True) + "\n")
             fh.flush()
-
-            def on_outcome(out) -> None:
-                unit = units[out.index]
-                if out.ok:
-                    records = list(out.value)
-                    for rec in records:
-                        # Decided scenarios only: a crashed/timed-out
-                        # unit is retried on resume instead.
-                        journal.append(
-                            CAMPAIGN_JOURNAL_KIND, rec.key, rec.to_dict()
-                        )
-                else:
-                    family, n = _spec_meta(unit.spec)
-                    records = [
-                        CampaignRecord(
-                            key=s.key, index=s.index, spec=unit.spec,
-                            family=family, n=n, array=array_key(unit.array),
-                            fault_model=s.fault_model,
-                            sensor=s.sensor.to_dict(), engine=s.engine,
-                            seed=s.seed, status=out.status, error=out.error,
-                        )
-                        for s in unit.suffixes
-                    ]
-                for rec in records:
-                    by_key[rec.key] = rec
-
-            if units:
-                pool = SupervisedPool(
-                    jobs=min(jobs, len(units)),
-                    task_timeout=task_timeout,
-                    max_retries=max_retries,
-                    chaos=chaos,
-                )
-                pool.map(
-                    _run_unit, units,
-                    keys=[u.key for u in units],
-                    on_outcome=on_outcome,
-                )
-
-            # Assemble the final grid-order stream. Every declared
-            # scenario must be present with a terminal status — the
-            # zero-silently-lost invariant.
-            records = []
-            for sc in scenarios:
-                rec = by_key.get(sc.key)
-                assert rec is not None, f"scenario lost without record: {sc.key}"
+            records, resumed = run_scenarios(
+                _run_unit,
+                (
+                    (sc.unit_key, (self.config, sc.spec, sc.array), sc.key, sc)
+                    for sc in scenarios
+                ),
+                seed=self.config.seed,
+                kind=CAMPAIGN_JOURNAL_KIND,
+                resumed=CampaignRecord.from_dict,
+                failed=_record,
+                jobs=jobs,
+                task_timeout=task_timeout,
+                max_retries=max_retries,
+                chaos=chaos,
+                journal_path=journal_path,
+                resume_from=resume_from,
+            )
+            for rec in records:
                 if rec.status == STATUS_RETRIED_OK:
                     rec.status = STATUS_OK
                 if rec.status not in RECORD_STATUSES:
                     rec.status = "crashed"
-                records.append(rec)
                 fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -837,7 +732,7 @@ class CampaignRunner:
             jobs=jobs,
             log_path=os.fspath(log_path),
             wall_s=time.perf_counter() - t0,
-            resumed=len(resumed),
+            resumed=resumed,
             records=records,
         )
 

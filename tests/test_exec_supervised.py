@@ -175,6 +175,31 @@ class TestParallelSupervision:
         assert pool.degraded
         assert [o.value for o in outcomes] == [1, 4, 9, 16]
 
+    def test_pool_broken_between_wait_and_submit_is_rebuilt(self, monkeypatch):
+        # A worker can die after ``wait`` returned a sibling's result;
+        # the next ``submit`` then raises BrokenProcessPool itself. The
+        # pool must rebuild and resubmit, not propagate the error.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        import repro.exec.supervised as supervised
+
+        submits = []
+
+        class BreaksOnThirdSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(self)
+                if len(submits) == 3:
+                    raise BrokenProcessPool("worker died between calls")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(supervised, "ProcessPoolExecutor", BreaksOnThirdSubmit)
+        pool = quiet_pool(jobs=2)
+        outcomes = pool.map(square, [1, 2, 3, 4])
+        assert [o.value for o in outcomes] == [1, 4, 9, 16]
+        assert all(o.attempts == 1 for o in outcomes)
+        assert pool.rebuilds == 1
+
 
 class TestDeterminismContract:
     def test_results_invariant_under_jobs_and_chaos(self):

@@ -168,6 +168,18 @@ class TestParallelDeterminism:
 
         assert key(parallel) == key(report)
 
+    def test_reordered_grid_reproduces_every_record(self, report):
+        # Each combo's seed is derived from its own key, not its grid
+        # position, so reversing the assays changes no record.
+        assays = grid_runner().assays
+        reordered = grid_runner(assays=dict(reversed(assays.items()))).run(jobs=1)
+        assert reordered.records[0].assay == "tree8"
+
+        def by_key(rep):
+            return {r.key: _stable(r.to_dict()) for r in rep.records}
+
+        assert by_key(reordered) == by_key(report)
+
 
 class TestValidation:
     def test_empty_assays_rejected(self):
@@ -183,6 +195,12 @@ class TestValidation:
             grid_runner(
                 fault_patterns=[FaultPattern.none(), FaultPattern.none()]
             )
+
+    def test_duplicate_scenario_keys_rejected(self):
+        # Two records under one key would collapse to one journal line,
+        # so a resume could not reproduce the run.
+        with pytest.raises(PipelineError, match=r"duplicate .*'pcr\|12x12\|none'"):
+            grid_runner(array_sizes=[(12, 12), (12, 12)])
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -295,6 +313,18 @@ class TestJournalResume:
         # Reloaded records carry the raw result dict, not a live result.
         assert all(r.result is None for r in resumed.records)
         assert all(r.result_dict is not None for r in resumed.records)
+
+    def test_partial_resume_preserves_the_seed_stream(self, tmp_path):
+        # Only the first scenario is journaled; the recomputed rest
+        # derive their seeds from their own keys, so they match an
+        # uninterrupted run.
+        journal = tmp_path / "batch.jsonl"
+        original = small_runner().run(jobs=1, journal_path=journal)
+        lines = journal.read_text().splitlines(keepends=True)
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text(lines[0])
+        resumed = small_runner().run(jobs=1, resume_from=partial)
+        assert _stable(resumed.to_dict()) == _stable(original.to_dict())
 
     def test_resume_after_crash_completes_the_campaign(self, tmp_path):
         from repro.exec import load_journal

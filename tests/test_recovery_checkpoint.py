@@ -327,8 +327,8 @@ def test_sweep_journal_and_full_resume_bit_identical(tmp_path):
 
 def test_sweep_partial_resume_preserves_the_seed_stream(tmp_path):
     # Only the first scenario is journaled; the recomputed rest must
-    # draw exactly the seeds an uninterrupted run would (skipped
-    # scenarios still consume their pre-derived seeds positionally).
+    # draw exactly the seeds an uninterrupted run would (each seed is
+    # derived from its own scenario key, whatever the resume skips).
     journal = tmp_path / "sweep.jsonl"
     original = small_sweep().run(jobs=1, journal_path=journal)
     lines = journal.read_text().splitlines(keepends=True)
@@ -359,3 +359,76 @@ def test_sweep_crashed_block_yields_structured_failure_records():
         assert r.key in ("pcr|0.5|pending-module", "pcr|0.5|street")
     assert all(r.status == "ok" for r in report.records if r.assay == "dilution")
     assert "FAILED" in report.table_text()
+
+
+def test_sweep_reordered_grid_reproduces_every_record():
+    # Seeds are derived from scenario keys, not grid positions, so
+    # reversing the arrivals changes no record. ``upstream_reused``
+    # alone is positional by definition: it marks every scenario but
+    # the first of its assay's block.
+    def by_key(fractions):
+        sweep = MonteCarloRecoverySweep(
+            assays=("pcr",),
+            time_fractions=fractions,
+            targets=("pending-module", "street"),
+            annealing=AnnealingParams.fast(),
+            recovery_annealing=AnnealingParams.fast(),
+            seed=11,
+        )
+        return {
+            r.key: {
+                k: v for k, v in r.to_dict().items()
+                if k not in _TIMING_KEYS and k != "upstream_reused"
+            }
+            for r in sweep.run(jobs=1).records
+        }
+
+    assert by_key((0.25, 0.5)) == by_key((0.5, 0.25))
+
+
+def test_sweep_rejects_duplicate_scenario_keys():
+    from repro.util.errors import RecoveryError
+
+    # Two records under one key would collapse to one journal line, so
+    # a resume could not reproduce the run.
+    with pytest.raises(RecoveryError, match=r"duplicate .*'pcr\|0.5\|street'"):
+        MonteCarloRecoverySweep(
+            assays=("pcr",), time_fractions=(0.5, 0.5), targets=("street",)
+        )
+
+
+def test_sweep_failed_nominal_synthesis_is_infeasible(monkeypatch):
+    import repro.recovery.sweep as sweep_module
+    from repro.util.errors import PlacementError
+
+    class Unplaceable:
+        def run(self, context):
+            raise PlacementError("no room on the array")
+
+    monkeypatch.setattr(
+        sweep_module, "build_default_pipeline", lambda **kwargs: Unplaceable()
+    )
+    report = small_sweep().run(jobs=1)
+    assert [r.status for r in report.records] == ["infeasible", "infeasible"]
+    for r in report.records:
+        assert not r.recovered
+        assert r.reason.startswith("nominal synthesis failed: PlacementError")
+
+
+def test_sweep_failed_checkpoint_is_infeasible(monkeypatch):
+    import repro.recovery.sweep as sweep_module
+    from repro.util.errors import RecoveryError
+
+    def no_checkpoint(self, result, fault_time, **kwargs):
+        raise RecoveryError("replay stalled before the fault")
+
+    monkeypatch.setattr(
+        sweep_module.OnlineRecoveryEngine, "checkpoint_of", no_checkpoint
+    )
+    report = small_sweep().run(jobs=1)
+    assert [r.status for r in report.records] == ["infeasible", "infeasible"]
+    assert [r.upstream_reused for r in report.records] == [False, True]
+    for r in report.records:
+        assert not r.recovered
+        assert r.fault_time_s > 0
+        assert r.reason == "RecoveryError: replay stalled before the fault"

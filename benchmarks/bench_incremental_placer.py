@@ -31,6 +31,7 @@ from repro.assay.catalog import BUNDLED_ASSAYS
 from repro.pipeline.context import SynthesisContext
 from repro.pipeline.stages import BindStage, ScheduleStage
 from repro.placement.annealer import AnnealingParams
+from repro.placement.cost import AreaCost
 from repro.placement.greedy import build_placed_modules
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.util.tables import format_table
@@ -65,9 +66,20 @@ def _modules_for(assay: str):
     return build_placed_modules(context.schedule, context.binding)
 
 
+class FullRecomputeCost(AreaCost):
+    """``AreaCost`` with ``__call__`` redefined and no ``delta``: the
+    annealer's documented fallback onto the full-recompute path."""
+
+    def __call__(self, placement):
+        return super().__call__(placement)
+
+
 def _place(modules, seed: int, incremental: bool, params: AnnealingParams):
     placer = SimulatedAnnealingPlacer(
-        params=params, seed=seed, incremental=incremental, record_history=False
+        params=params,
+        cost=AreaCost() if incremental else FullRecomputeCost(),
+        seed=seed,
+        record_history=False,
     )
     return placer.place_modules(modules)
 

@@ -223,7 +223,7 @@ def _checkpoint_grid(sim: BiochipSimulator) -> list[tuple[list, float]]:
 
 def test_monte_carlo_sweep_sim_speedup(report, bench_json):
     """The sim work of a recovery sweep — checkpoint + resume per
-    scenario — under both engines, plus the end-to-end sweep walls."""
+    scenario — under both engines, plus the end-to-end sweep wall."""
     assays = ("pcr",) if FAST else ("pcr", "dilution", "ivd")
     rows = []
     total_event = total_stepped = 0.0
@@ -268,21 +268,18 @@ def test_monte_carlo_sweep_sim_speedup(report, bench_json):
         }
     speedup = total_stepped / total_event
 
-    sweep_walls = {}
-    for engine in ("event", "stepped"):
-        sweep = MonteCarloRecoverySweep(
-            assays=("pcr",),
-            time_fractions=(0.5,),
-            targets=("pending-module",),
-            annealing=AnnealingParams.fast(),
-            recovery_annealing=AnnealingParams.fast(),
-            seed=SEED,
-            sim_engine=engine,
-        )
-        t0 = time.perf_counter()
-        sweep_report = sweep.run()
-        sweep_walls[engine] = time.perf_counter() - t0
-        assert sweep_report.records
+    sweep = MonteCarloRecoverySweep(
+        assays=("pcr",),
+        time_fractions=(0.5,),
+        targets=("pending-module",),
+        annealing=AnnealingParams.fast(),
+        recovery_annealing=AnnealingParams.fast(),
+        seed=SEED,
+    )
+    t0 = time.perf_counter()
+    sweep_report = sweep.run()
+    sweep_wall = time.perf_counter() - t0
+    assert sweep_report.records
 
     table = format_table(
         ("assay", "scenarios", "stepped ms", "event ms", "speedup"), rows
@@ -290,8 +287,7 @@ def test_monte_carlo_sweep_sim_speedup(report, bench_json):
     report(
         "Monte-Carlo recovery sweep: checkpoint+resume sim work",
         f"{table}\n\naggregate {speedup:.1f}x (bar {SPEEDUP_BAR}x); "
-        f"end-to-end sweep wall: stepped {sweep_walls['stepped']:.2f}s, "
-        f"event {sweep_walls['event']:.2f}s (fast={FAST})",
+        f"end-to-end event-engine sweep wall: {sweep_wall:.2f}s (fast={FAST})",
     )
     bench_json(
         "sweep_sim",
@@ -301,7 +297,7 @@ def test_monte_carlo_sweep_sim_speedup(report, bench_json):
             "assays": per_assay,
             "aggregate_speedup": speedup,
             "speedup_bar": SPEEDUP_BAR,
-            "sweep_wall_s": sweep_walls,
+            "sweep_wall_s": {"event": sweep_wall},
         },
         default="BENCH_sim.json",
     )

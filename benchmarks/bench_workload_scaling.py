@@ -72,10 +72,9 @@ def _campaign_config() -> CampaignConfig:
                 "sensors": ["ideal", "fpr=0.05,fnr=0.1"],
                 "fault_models": ["permanent", "intermittent"],
             },
-            # Engine cross-check at a mid scale.
+            # The mixed family at a mid scale.
             {
                 "generators": [_spec("mixed", 100)],
-                "engines": ["event", "stepped"],
                 "fault_models": ["none", "permanent"],
             },
         ]

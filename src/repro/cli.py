@@ -60,7 +60,6 @@ from repro.exec import (
 )
 from repro.fault.models import FAULT_MODELS
 from repro.placement.annealer import AnnealingParams
-from repro.sim.engine import SIM_ENGINES
 from repro.util.errors import (
     ReproError,
     UsageError,
@@ -153,17 +152,14 @@ def _placer(args: argparse.Namespace):
     from repro.placement.sa_placer import SimulatedAnnealingPlacer
     from repro.placement.two_stage import TwoStagePlacer
 
-    extra = {}
-    if getattr(args, "incremental", None) is not None:
-        extra["incremental"] = args.incremental
-    if getattr(args, "cross_check", False):
-        extra["cross_check"] = True
+    cross_check = getattr(args, "cross_check", False)
     if getattr(args, "beta", None) is not None:
         return TwoStagePlacer(
-            beta=args.beta, stage1_params=_params(args.fast), seed=args.seed, **extra
+            beta=args.beta, stage1_params=_params(args.fast), seed=args.seed,
+            cross_check=cross_check,
         )
     return SimulatedAnnealingPlacer(
-        params=_params(args.fast), seed=args.seed, **extra
+        params=_params(args.fast), seed=args.seed, cross_check=cross_check
     )
 
 
@@ -190,11 +186,6 @@ def cmd_place(args: argparse.Namespace) -> int:
     from repro.pipeline.stages import BindStage, ScheduleStage
     from repro.viz.ascii_art import render_placement
 
-    if args.cross_check and not args.incremental:
-        raise UsageError(
-            "--cross-check verifies the incremental path and "
-            "cannot be combined with --no-incremental"
-        )
     graph, binding = build_assay(args.protocol)
     context = SynthesisContext(graph=graph, explicit_binding=binding)
     BindStage().run(context)
@@ -212,9 +203,7 @@ def cmd_place(args: argparse.Namespace) -> int:
     print()
     w, h = result.array_dims
     stats = result.stats
-    mode = "full-recompute"
-    if getattr(placer, "incremental", False):
-        mode = "incremental" + (" + cross-check" if placer.cross_check else "")
+    mode = "incremental" + (" + cross-check" if placer.cross_check else "")
     print(f"placement: {w}x{h} = {result.area_cells} cells "
           f"({result.area_mm2:.2f} mm^2), {stats.stop_reason}")
     print(f"annealer [{mode}]: {stats.evaluations} proposals in "
@@ -470,7 +459,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         route=args.route,
         verify=args.verify,
         seed=args.seed,
-        sim_engine=args.sim_engine,
     )
     report = runner.run(
         jobs=args.jobs,
@@ -600,9 +588,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
                 AnnealingParams.fast() if args.fast
                 else AnnealingParams.low_temperature()
             ),
+            max_concurrent_ops=args.max_concurrent,
             max_parked=_max_parked(args, *protocols),
             seed=args.seed,
-            sim_engine=args.sim_engine,
             fault_model=args.fault_model,
             detection="closed-loop" if args.closed_loop else "oracle",
             sensor_fpr=args.sensor_fpr,
@@ -636,7 +624,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
             AnnealingParams.fast() if args.fast
             else AnnealingParams.low_temperature()
         ),
-        sim_engine=args.sim_engine,
     )
     closed = (
         args.closed_loop or args.fault_model != "permanent" or len(pairs) > 1
@@ -856,11 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind + schedule + place only, reporting annealer throughput",
     )
     place.add_argument(
-        "--incremental", action=argparse.BooleanOptionalAction, default=True,
-        help="drive the O(time-neighbors) delta-cost annealing path "
-             "(--no-incremental selects the full-recompute reference)",
-    )
-    place.add_argument(
         "--cross-check", action="store_true",
         help="verify every incremental delta against the full recompute",
     )
@@ -957,11 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--verify", action=argparse.BooleanOptionalAction, default=False,
         help="replay each scenario on the droplet-level simulator",
-    )
-    batch.add_argument(
-        "--sim-engine", choices=SIM_ENGINES, default="event",
-        help="simulation driver for --verify (event fast path / "
-             "stepped reference)",
     )
     batch.add_argument("--max-concurrent", type=int, default=3)
     batch.add_argument(
@@ -1097,10 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", action="store_true",
         help="run the Monte-Carlo recovery sweep "
              "(assay x fault-arrival x fault-pattern) instead of one demo fault",
-    )
-    recover.add_argument(
-        "--sim-engine", choices=SIM_ENGINES, default="event",
-        help="simulation driver for checkpoint/verify replays",
     )
     recover.add_argument("--max-concurrent", type=int, default=3)
     recover.add_argument(

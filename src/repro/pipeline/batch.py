@@ -39,7 +39,6 @@ from repro.pipeline.context import SynthesisContext
 from repro.pipeline.pipeline import build_default_pipeline
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.sim.engine import SIM_ENGINES
 from repro.synthesis.binder import ResourceBinder
 from repro.synthesis.flow import SynthesisResult
 from repro.util.errors import PipelineError, ReproError
@@ -315,7 +314,6 @@ def _run_combo(unit: Unit) -> list[ScenarioRecord]:
         binding_strategy=runner.binding_strategy,
         route=runner.route,
         verify=runner.verify,
-        sim_engine=runner.sim_engine,
     )
     prefix, suffix = pipeline.split_on_faults()
 
@@ -385,7 +383,6 @@ class BatchScenarioRunner:
         route: bool = True,
         verify: bool = False,
         seed: int = 7,
-        sim_engine: str = "event",
     ) -> None:
         if not assays:
             raise PipelineError("batch sweep needs at least one assay")
@@ -422,12 +419,6 @@ class BatchScenarioRunner:
         self.route = route
         self.verify = verify
         self.seed = seed
-        if sim_engine not in SIM_ENGINES:
-            raise PipelineError(
-                f"unknown simulation engine {sim_engine!r}; "
-                f"choose from {SIM_ENGINES}"
-            )
-        self.sim_engine = sim_engine
 
     def run(
         self,

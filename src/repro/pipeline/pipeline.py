@@ -117,15 +117,13 @@ def build_default_pipeline(
     routing_synthesizer: RoutingSynthesizer | None = None,
     verify: bool = False,
     binder: ResourceBinder | None = None,
-    sim_engine: str = "event",
 ) -> Pipeline:
     """The paper's top-down flow as a pipeline.
 
     Mirrors ``SynthesisFlow``'s constructor knob for knob (the facade
     delegates here), plus ``verify=True`` to append the droplet-level
     replay stage the flow never had. An explicit *binder* overrides
-    *library*. *sim_engine* picks the verify stage's simulation driver
-    ("event" fast path, "stepped" reference).
+    *library*.
     """
     rng = ensure_rng(seed)
     if placer is None:
@@ -144,7 +142,7 @@ def build_default_pipeline(
     if route:
         stages.append(RouteStage(routing_synthesizer))
     if verify:
-        stages.append(SimVerifyStage(engine=sim_engine))
+        stages.append(SimVerifyStage())
     return Pipeline(stages)
 
 

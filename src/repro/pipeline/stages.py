@@ -235,14 +235,9 @@ class SimVerifyStage:
     name = "verify"
     uses_faults = True
 
-    def __init__(
-        self, margin: int = 2, strict: bool = False, engine: str = "event"
-    ) -> None:
+    def __init__(self, margin: int = 2, strict: bool = False) -> None:
         self.margin = margin
         self.strict = strict
-        #: Simulation driver ("event" fast path / "stepped" reference);
-        #: validated by BiochipSimulator itself.
-        self.engine = engine
 
     def run(self, context: SynthesisContext) -> None:
         context.require("binding", "schedule", "placement_result")
@@ -256,7 +251,6 @@ class SimVerifyStage:
             margin=self.margin,
             strict=self.strict,
             routing_plan=context.routing_plan,
-            engine=self.engine,
         )
         faults = [(0.0, simulator.sim_cell(p)) for p in context.faulty_cells]
         context.sim_report = simulator.run(faults=faults)

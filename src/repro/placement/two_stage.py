@@ -112,7 +112,6 @@ class TwoStagePlacer:
         allow_rotation: bool = True,
         p_single: float = 0.8,
         seed: int | random.Random | None = None,
-        incremental: bool = True,
         cross_check: bool = False,
         record_history: bool = True,
     ) -> None:
@@ -129,7 +128,6 @@ class TwoStagePlacer:
         self.fti_method = fti_method
         self.allow_rotation = allow_rotation
         self.p_single = p_single
-        self.incremental = incremental
         self.cross_check = cross_check
         self.record_history = record_history
         self._rng = ensure_rng(seed)
@@ -148,7 +146,6 @@ class TwoStagePlacer:
             p_single=self.p_single,
             allow_rotation=self.allow_rotation,
             seed=self._rng,
-            incremental=self.incremental,
             cross_check=self.cross_check,
             record_history=self.record_history,
         )
@@ -216,7 +213,6 @@ class TwoStagePlacer:
         t_anneal = time.perf_counter()
         best, stats = run_annealing(
             engine, cost, mover, start, inner,
-            incremental=self.incremental,
             cross_check=self.cross_check,
             record_history=self.record_history,
         )

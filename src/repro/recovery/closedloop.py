@@ -636,7 +636,6 @@ class ClosedLoopController:
             strict=False,
             routing_plan=result.routing_plan,
             plan_covers_faults=(),
-            engine=engine.sim_engine,
         )
         sim.plan_covers_faults = frozenset(
             sim.sim_cell(c) for c in state.believed

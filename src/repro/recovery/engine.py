@@ -351,7 +351,6 @@ class OnlineRecoveryEngine:
         core_slack: int = 2,
         reconfigurer: PartialReconfigurer | None = None,
         synthesizer: RoutingSynthesizer | None = None,
-        sim_engine: str = "event",
         resynth_annealing: AnnealingParams | None = None,
     ) -> None:
         #: Warm-restart schedule: start cool, move little — the nominal
@@ -382,9 +381,6 @@ class OnlineRecoveryEngine:
         self.synthesizer = (
             synthesizer if synthesizer is not None else RoutingSynthesizer(margin=margin)
         )
-        #: Simulation driver for checkpoints and resumed replays
-        #: (validated by BiochipSimulator itself).
-        self.sim_engine = sim_engine
         #: One-slot nominal-simulator cache: a sweep checkpoints the
         #: same synthesis result at many instants, and the event
         #: engine's run-log cache only pays off when those checkpoints
@@ -411,7 +407,6 @@ class OnlineRecoveryEngine:
             margin=self.margin,
             strict=False,
             routing_plan=result.routing_plan,
-            engine=self.sim_engine,
         )
         self._nominal_sim = (result, sim)
         return sim
@@ -687,7 +682,6 @@ class OnlineRecoveryEngine:
             strict=False,
             routing_plan=merged,
             plan_covers_faults=(),
-            engine=self.sim_engine,
         )
         sim_faults = [(0.0, sim.sim_cell(f)) for f in known] + [
             (fault_time_s, sim.sim_cell(f)) for f in faults

@@ -53,7 +53,6 @@ from repro.recovery.engine import (
     OnlineRecoveryEngine,
     pick_fault_cell,
 )
-from repro.sim.engine import SIM_ENGINES
 from repro.testing.detector import CapacitiveSensor
 from repro.util.errors import RecoveryError, ReproError
 from repro.util.rng import ensure_rng
@@ -315,9 +314,7 @@ def _run_sweep_combo(unit: Unit) -> list[RecoveryRecord]:
         reason = f"nominal synthesis failed: {type(exc).__name__}: {exc}"
         return [_failed(unit, s, STATUS_INFEASIBLE, reason) for s in unit.scenarios]
 
-    engine = OnlineRecoveryEngine(
-        annealing=sweep.recovery_annealing, sim_engine=sweep.sim_engine
-    )
+    engine = OnlineRecoveryEngine(annealing=sweep.recovery_annealing)
     #: The historical fast path — a single permanent fault with oracle
     #: knowledge — calls the engine directly and stays bit-identical to
     #: the seed behavior; everything else goes through the controller.
@@ -437,7 +434,6 @@ class MonteCarloRecoverySweep:
         max_concurrent_ops: int | None = 3,
         max_parked: int | None = None,
         seed: int = 7,
-        sim_engine: str = "event",
         fault_model: str = "permanent",
         detection: str = "oracle",
         sensor_fpr: float = 0.0,
@@ -477,12 +473,6 @@ class MonteCarloRecoverySweep:
         self.max_concurrent_ops = max_concurrent_ops
         self.max_parked = max_parked
         self.seed = seed
-        if sim_engine not in SIM_ENGINES:
-            raise RecoveryError(
-                f"unknown simulation engine {sim_engine!r}; "
-                f"choose from {SIM_ENGINES}"
-            )
-        self.sim_engine = sim_engine
         if fault_model not in FAULT_MODELS:
             raise RecoveryError(
                 f"unknown fault model {fault_model!r}; "
@@ -520,7 +510,7 @@ class MonteCarloRecoverySweep:
 
         Supervision, journaling and resume follow
         :func:`repro.exec.run_scenarios`: a resumed report is
-        bit-identical to an uninterrupted run, and a assay block lost past
+        bit-identical to an uninterrupted run, and an assay block lost past
         *max_retries* yields one ``crashed`` / ``timeout`` record per
         scenario, never journaled, so a resume retries it.
         """

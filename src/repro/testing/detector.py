@@ -12,6 +12,7 @@ position out of the simulator.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -73,8 +74,8 @@ class CapacitiveSensor:
         ):
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
-        if latency_s < 0.0:
-            raise ValueError(f"latency_s must be >= 0, got {latency_s}")
+        if not (math.isfinite(latency_s) and latency_s >= 0.0):
+            raise ValueError(f"latency_s must be finite and >= 0, got {latency_s}")
         self.threshold_pf = threshold_pf
         #: Extra actuation steps allowed beyond the nominal path length.
         self.margin_steps = margin_steps

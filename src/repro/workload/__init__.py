@@ -13,7 +13,7 @@ reproduction into a scenario corpus:
   :mod:`repro.assay.catalog`).
 * :mod:`repro.workload.campaign` — a declarative campaign runner: one
   TOML/JSON config declares a grid of (generator params x array sizes x
-  fault models x sensor fidelity x engines), expanded deterministically
+  fault models x sensor fidelity), expanded deterministically
   into seeded scenarios, fanned out on the supervised pool with
   crash-safe journal/resume, and logged as one append-only structured
   JSONL stream (versioned record schema, jobs-invariant content).

@@ -1,8 +1,8 @@
 """Declarative campaign sweeps: one config, one structured JSONL log.
 
 A campaign config (TOML or JSON) declares a grid of
-(generator specs x array sizes x fault models x sensor fidelities x
-simulation engines). :class:`CampaignConfig` expands it — purely
+(generator specs x array sizes x fault models x sensor fidelities).
+:class:`CampaignConfig` expands it — purely
 deterministically — into seeded :class:`CampaignScenario`\\ s, and
 :class:`CampaignRunner` fans them out on the supervised pool with the
 same journal/resume crash-safety the batch runner uses.
@@ -45,12 +45,17 @@ from repro.util.tables import format_table
 
 if TYPE_CHECKING:
     from repro.synthesis.flow import SynthesisResult
+    from repro.testing.detector import CapacitiveSensor
 
 #: Version of the per-scenario record schema. Consumers must ignore
 #: unknown fields (additions bump nothing); renames/removals bump this.
 RECORD_SCHEMA_VERSION = 1
 #: ``kind`` of per-scenario lines in the campaign log.
 RECORD_KIND = "campaign-record"
+#: Every record's ``engine`` field and its keys' last segment: replays
+#: run on the event engine, and the column stays so that scenario keys
+#: and their derived seeds are unchanged.
+RECORD_ENGINE = "event"
 #: ``kind`` of the log's single header line.
 META_KIND = "campaign-meta"
 #: ``kind`` under which decided scenarios land in a --journal file.
@@ -86,6 +91,16 @@ class SensorSpec:
             f"latency={self.latency_s:g}"
         )
 
+    def sensor(self) -> CapacitiveSensor:
+        """The detector at this fidelity; its constructor validates it."""
+        from repro.testing.detector import CapacitiveSensor
+
+        return CapacitiveSensor(
+            false_positive_rate=self.false_positive_rate,
+            false_negative_rate=self.false_negative_rate,
+            latency_s=self.latency_s,
+        )
+
     def to_dict(self) -> dict:
         return {
             "fpr": self.false_positive_rate,
@@ -118,12 +133,12 @@ class SensorSpec:
                 raise UsageError(
                     f"bad sensor spec {raw!r}: {v!r} is not a number"
                 ) from None
-        for k in ("fpr", "fnr"):
-            if not 0.0 <= fields[k] <= 1.0:
-                raise UsageError(f"sensor {k} must lie in [0, 1], got {fields[k]:g}")
-        if fields["latency"] < 0:
-            raise UsageError(f"sensor latency must be >= 0, got {fields['latency']:g}")
-        return cls(fields["fpr"], fields["fnr"], fields["latency"])
+        spec = cls(fields["fpr"], fields["fnr"], fields["latency"])
+        try:
+            spec.sensor()
+        except ValueError as exc:
+            raise UsageError(f"bad sensor spec {raw!r}: {exc}") from None
+        return spec
 
 
 def array_key(array: tuple[int, int] | None) -> str:
@@ -156,7 +171,6 @@ class CampaignScenario:
     array: tuple[int, int] | None
     fault_model: str  # "none" or a FAULT_MODELS name
     sensor: SensorSpec
-    engine: str  # simulation driver for the closed loop
     index: int  # position in grid order (== log order)
 
     @property
@@ -164,7 +178,7 @@ class CampaignScenario:
         """The scenario's stable journal/log/seed identity."""
         return "|".join(
             (self.spec, array_key(self.array), self.fault_model,
-             self.sensor.key, self.engine)
+             self.sensor.key, RECORD_ENGINE)
         )
 
     @property
@@ -275,7 +289,6 @@ class CampaignConfig:
         """The full deterministic scenario list, in grid order."""
         from repro.assay.catalog import BUNDLED_ASSAYS, is_generator_spec
         from repro.fault.models import FAULT_MODELS
-        from repro.sim.engine import SIM_ENGINES
         from repro.workload.generator import GeneratorSpec
 
         scenarios: list[CampaignScenario] = []
@@ -308,15 +321,7 @@ class CampaignConfig:
                 SensorSpec.parse(s)
                 for s in _str_list(grid, "sensors", where, ["ideal"])
             ]
-            engines = _str_list(grid, "engines", where, ["event"])
-            for e in engines:
-                if e not in SIM_ENGINES:
-                    raise UsageError(
-                        f"{where}: unknown engine {e!r}; choose from {SIM_ENGINES}"
-                    )
-            unknown = set(grid) - {
-                "generators", "arrays", "fault_models", "sensors", "engines"
-            }
+            unknown = set(grid) - {"generators", "arrays", "fault_models", "sensors"}
             if unknown:
                 raise UsageError(
                     f"{where}: unknown key(s) {sorted(unknown)}"
@@ -325,19 +330,17 @@ class CampaignConfig:
                 for array in arrays:
                     for model in models:
                         for sensor in sensors:
-                            for engine in engines:
-                                sc = CampaignScenario(
-                                    spec=spec, array=array, fault_model=model,
-                                    sensor=sensor, engine=engine,
-                                    index=len(scenarios),
+                            sc = CampaignScenario(
+                                spec=spec, array=array, fault_model=model,
+                                sensor=sensor, index=len(scenarios),
+                            )
+                            if sc.key in seen:
+                                raise UsageError(
+                                    f"{where}: scenario {sc.key!r} already "
+                                    f"declared by [[grid]] #{seen[sc.key] + 1}"
                                 )
-                                if sc.key in seen:
-                                    raise UsageError(
-                                        f"{where}: scenario {sc.key!r} already "
-                                        f"declared by [[grid]] #{seen[sc.key] + 1}"
-                                    )
-                                seen[sc.key] = i
-                                scenarios.append(sc)
+                            seen[sc.key] = i
+                            scenarios.append(sc)
         return scenarios
 
 
@@ -484,7 +487,7 @@ def _record(
     return CampaignRecord(
         key=sc.key, index=sc.index, spec=sc.spec, family=family, n=n,
         array=array_key(sc.array), fault_model=sc.fault_model,
-        sensor=sc.sensor.to_dict(), engine=sc.engine, seed=scenario.seed,
+        sensor=sc.sensor.to_dict(), engine=RECORD_ENGINE, seed=scenario.seed,
         status=status, error=error, **payload,
     )
 
@@ -499,7 +502,6 @@ def _run_unit(unit: Unit) -> list[CampaignRecord]:
     from repro.recovery.engine import pick_fault_cell
     from repro.recovery.sweep import scenario_events
     from repro.synthesis.flow import SynthesisFlow
-    from repro.testing.detector import CapacitiveSensor
     from repro.util.rng import ensure_rng
 
     config, spec, array = unit.params
@@ -530,17 +532,8 @@ def _run_unit(unit: Unit) -> list[CampaignRecord]:
     for scenario in unit.scenarios:
         suffix: CampaignScenario = scenario.params
         rng = ensure_rng(scenario.seed)
-        engine = OnlineRecoveryEngine(
-            annealing=params if config.fast else None, sim_engine=suffix.engine
-        )
-        controller = ClosedLoopController(
-            engine=engine,
-            sensor=CapacitiveSensor(
-                false_positive_rate=suffix.sensor.false_positive_rate,
-                false_negative_rate=suffix.sensor.false_negative_rate,
-                latency_s=suffix.sensor.latency_s,
-            ),
-        )
+        engine = OnlineRecoveryEngine(annealing=params if config.fast else None)
+        controller = ClosedLoopController(engine=engine, sensor=suffix.sensor.sensor())
         try:
             if suffix.fault_model == "none":
                 events: tuple = ()

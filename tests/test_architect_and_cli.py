@@ -162,6 +162,26 @@ class TestPortfolioCommand:
         assert "fti" in capsys.readouterr().out
 
 
+class TestRecoverCommand:
+    def test_sweep_honors_max_concurrent(self, capsys):
+        """--max-concurrent reaches the sweep's nominal synthesis."""
+        import json
+
+        from repro.assay.catalog import build_assay
+        from repro.pipeline.context import SynthesisContext
+        from repro.pipeline.stages import BindStage, ScheduleStage
+
+        graph, binding = build_assay("pcr")
+        context = SynthesisContext(graph=graph, explicit_binding=binding)
+        BindStage().run(context)
+        ScheduleStage(max_concurrent_ops=1).run(context)
+        main(["recover", "--sweep", "--protocol", "pcr", "--fast", "--json",
+              "--max-concurrent", "1", "--fault-time", "0.5",
+              "--target", "pending-module"])
+        (record,) = json.loads(capsys.readouterr().out)["scenarios"]
+        assert record["fault_time_s"] == 0.5 * context.schedule.makespan
+
+
 class TestBatchCommand:
     def test_batch_grid_runs(self, capsys):
         rc = main(["batch", "--protocols", "pcr,dilution",

@@ -178,6 +178,16 @@ class TestRealUsageErrors:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("latency", ["inf", "nan"])
+    def test_non_finite_sensor_latency(self, capsys, latency):
+        # Rejected when the sensor is built, before any synthesis runs.
+        code, _ = run_cli(
+            ["recover", "--fast", "--protocol", "pcr", "--closed-loop",
+             "--sensor-fpr", "0.05", "--sensor-latency", latency]
+        )
+        assert code == EXIT_USAGE
+        assert "latency_s must be finite" in capsys.readouterr().err
+
 
 class TestUnknownProtocolEverywhere:
     """Every --protocol-taking subcommand maps an unknown name to exit

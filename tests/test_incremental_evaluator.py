@@ -38,6 +38,23 @@ from repro.util.errors import PlacementError
 TOL = 1e-6
 
 
+class FullRecomputeCost(AreaCost):
+    """``AreaCost`` with ``__call__`` redefined and no ``delta``: the
+    annealer's documented fallback onto the full-recompute path."""
+
+    def __call__(self, placement):
+        return super().__call__(placement)
+
+
+def pcr_context() -> SynthesisContext:
+    """The pcr assay, bound and scheduled."""
+    graph, binding = BUNDLED_ASSAYS["pcr"]()
+    context = SynthesisContext(graph=graph, explicit_binding=binding)
+    BindStage().run(context)
+    ScheduleStage().run(context)
+    return context
+
+
 def make_spec(fw: int, fh: int) -> ModuleSpec:
     return ModuleSpec(
         name=f"mix-{fw}x{fh}",
@@ -213,27 +230,31 @@ class TestCostProtocols:
         assert TransportAwareCost(graph).supports_incremental()
 
     def test_call_override_without_delta_falls_back(self):
+        calls = 0
+
         class Custom(AreaCost):
             def __call__(self, placement):
+                nonlocal calls
+                calls += 1
                 return super().__call__(placement) + 1.0
 
         assert not Custom().supports_incremental()
-        placer = SimulatedAnnealingPlacer(cost=Custom())
-        assert not placer.uses_incremental()
-
-    def test_incremental_disabled_by_flag(self):
-        placer = SimulatedAnnealingPlacer(incremental=False)
-        assert not placer.uses_incremental()
+        context = pcr_context()
+        placer = SimulatedAnnealingPlacer(
+            params=AnnealingParams.fast(), cost=Custom(), seed=1
+        )
+        result = placer.place_modules(
+            build_placed_modules(context.schedule, context.binding)
+        )
+        # The full-recompute path scores the start and every proposal.
+        assert calls == result.stats.evaluations + 1
 
     def test_cross_check_without_incremental_rejected(self):
         """cross_check is a verification request — never silently a no-op."""
-        graph, binding = BUNDLED_ASSAYS["pcr"]()
-        context = SynthesisContext(graph=graph, explicit_binding=binding)
-        BindStage().run(context)
-        ScheduleStage().run(context)
+        context = pcr_context()
         placer = SimulatedAnnealingPlacer(
             params=AnnealingParams.fast(), seed=1,
-            incremental=False, cross_check=True,
+            cost=FullRecomputeCost(), cross_check=True,
         )
         with pytest.raises(ValueError, match="cross_check"):
             placer.place(context.schedule, context.binding)
@@ -315,8 +336,8 @@ class TestIncrementalEngine:
         the (integer-valued) bundled schedules the two paths agree
         bit-for-bit, not just in area.
         """
-        inc = self.place(incremental=True)
-        full = self.place(incremental=False)
+        inc = self.place()
+        full = self.place(cost=FullRecomputeCost())
         assert {m.op_id: (m.x, m.y, m.rotated) for m in inc.placement} == {
             m.op_id: (m.x, m.y, m.rotated) for m in full.placement
         }

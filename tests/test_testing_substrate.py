@@ -82,6 +82,11 @@ class TestCapacitiveSensor:
         with pytest.raises(ValueError):
             CapacitiveSensor(threshold_pf=WET_CAPACITANCE_PF * 2)
 
+    @pytest.mark.parametrize("latency", [-1.0, float("nan"), float("inf")])
+    def test_latency_must_be_finite_and_non_negative(self, latency):
+        with pytest.raises(ValueError, match="latency_s"):
+            CapacitiveSensor(latency_s=latency)
+
     def test_observation_matches_outcome(self):
         array = MicrofluidicArray(3, 3)
         outcome = TestDroplet().walk(array, snake_path(3, 3))

@@ -71,9 +71,13 @@ class TestConfigParsing:
             ({"generators": ["gen:warp:n=9"]}, "unknown generator family"),
             ({"generators": ["pcr"], "fault_models": ["meteor"]},
              "unknown fault model"),
-            ({"generators": ["pcr"], "engines": ["warp"]}, "unknown engine"),
+            ({"generators": ["pcr"], "engines": ["warp"]}, "unknown key"),
             ({"generators": ["pcr"], "arrays": ["12by12"]}, "bad array size"),
             ({"generators": ["pcr"], "typo": [1]}, "unknown key"),
+            ({"generators": ["pcr"], "sensors": ["ideal", "fpr=1"]},
+             "false_positive_rate must be in"),
+            ({"generators": ["pcr"], "sensors": ["latency=nan"]},
+             "latency_s must be finite"),
         ],
     )
     def test_bad_grids_fail_at_load_time(self, grid, match):

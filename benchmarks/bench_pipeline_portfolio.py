@@ -45,15 +45,15 @@ _json_records: dict[str, dict] = {}
 def test_portfolio_parallel_speedup(
     benchmark, report, bench_json, make_portfolio_spec, assay
 ):
-    spec = make_portfolio_spec(assay, route=True)
+    spec = make_portfolio_spec(assay, route=True, seed=7)
 
     def serial():
-        return run_portfolio(spec, n=PORTFOLIO_N, seed=7, objective="area", jobs=1)
+        return run_portfolio(spec, n=PORTFOLIO_N, objective="area", jobs=1)
 
     baseline = benchmark.pedantic(serial, rounds=1, iterations=1)
 
     parallel = {
-        jobs: run_portfolio(spec, n=PORTFOLIO_N, seed=7, objective="area", jobs=jobs)
+        jobs: run_portfolio(spec, n=PORTFOLIO_N, objective="area", jobs=jobs)
         for jobs in JOB_COUNTS
     }
 

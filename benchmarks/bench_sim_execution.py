@@ -30,6 +30,7 @@ import time
 import pytest
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
+from repro.pipeline import SynthesisSpec
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery.sweep import MonteCarloRecoverySweep
@@ -269,12 +270,10 @@ def test_monte_carlo_sweep_sim_speedup(report, bench_json):
     speedup = total_stepped / total_event
 
     sweep = MonteCarloRecoverySweep(
+        SynthesisSpec(fast=True, seed=SEED),
         assays=("pcr",),
         time_fractions=(0.5,),
         targets=("pending-module",),
-        annealing=AnnealingParams.fast(),
-        recovery_annealing=AnnealingParams.fast(),
-        seed=SEED,
     )
     t0 = time.perf_counter()
     sweep_report = sweep.run()

@@ -6,7 +6,7 @@ terminal summary, so ``pytest benchmarks/ --benchmark-only`` shows both
 the timings and the paper-vs-measured tables without needing ``-s``.
 
 The harness is wired to the staged pipeline: ``make_portfolio_spec``
-builds a ready :class:`repro.pipeline.PortfolioSpec` for any assay of
+builds a ready :class:`repro.pipeline.SynthesisSpec` for any assay of
 the shared :mod:`repro.assay.catalog`, so portfolio/batch benchmarks
 use the same registry and construction path as the CLI.
 """
@@ -18,9 +18,6 @@ import os
 from pathlib import Path
 
 import pytest
-
-from repro.assay.catalog import build_assay
-from repro.placement.annealer import AnnealingParams
 
 _SECTIONS: list[tuple[str, str]] = []
 
@@ -58,18 +55,11 @@ def bench_json():
 
 @pytest.fixture
 def make_portfolio_spec():
-    """Factory: a pipeline PortfolioSpec for a named bundled assay."""
-    from repro.pipeline import PortfolioSpec
+    """Factory: a pipeline SynthesisSpec for a named bundled assay."""
+    from repro.pipeline import SynthesisSpec
 
     def make(assay: str, *, route: bool = False, fast: bool = True, **kwargs):
-        graph, binding = build_assay(assay)
-        return PortfolioSpec(
-            graph=graph,
-            explicit_binding=binding,
-            annealing=AnnealingParams.fast() if fast else AnnealingParams.balanced(),
-            route=route,
-            **kwargs,
-        )
+        return SynthesisSpec(assay=assay, fast=fast, route=route, **kwargs)
 
     return make
 

@@ -50,9 +50,9 @@ from repro.pipeline import (
     FaultPattern,
     Pipeline,
     PortfolioResult,
-    PortfolioSpec,
     RecoveryStage,
     SynthesisContext,
+    SynthesisSpec,
     build_default_pipeline,
     run_portfolio,
 )
@@ -144,7 +144,6 @@ __all__ = [
     "Point",
     "Port",
     "PortfolioResult",
-    "PortfolioSpec",
     "PrioritizedRouter",
     "ReferenceTimeGrid",
     "ReconfigurationError",
@@ -172,6 +171,7 @@ __all__ = [
     "SynthesisContext",
     "SynthesisFlow",
     "SynthesisResult",
+    "SynthesisSpec",
     "TaskOutcome",
     "TimeGrid",
     "ToleranceAnalyzer",

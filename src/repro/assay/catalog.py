@@ -42,6 +42,23 @@ def is_generator_spec(name: str) -> bool:
     return name.startswith("gen:")
 
 
+def check_assay(name: str) -> None:
+    """Raise :class:`~repro.util.errors.UsageError` unless *name* is a
+    bundled assay or a well-formed ``gen:`` spec (parsed, not built)."""
+    if is_generator_spec(name):
+        from repro.workload.generator import GeneratorSpec
+
+        try:
+            GeneratorSpec.parse(name)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    elif name not in BUNDLED_ASSAYS:
+        raise UsageError(
+            f"unknown protocol {name!r}; choose from {sorted(BUNDLED_ASSAYS)} "
+            "or a generator spec like 'gen:dilution-ladder:n=128:seed=7'"
+        )
+
+
 def build_assay(name: str) -> tuple[SequencingGraph, Mapping[str, str] | None]:
     """Build the named bundled assay or ``gen:`` spec.
 
@@ -49,6 +66,7 @@ def build_assay(name: str) -> tuple[SequencingGraph, Mapping[str, str] | None]:
     :class:`~repro.util.errors.UsageError` (CLI exit code 2) listing
     the available choices — a user typo, not an internal failure.
     """
+    check_assay(name)
     if is_generator_spec(name):
         from repro.workload.generator import generate
 
@@ -56,10 +74,4 @@ def build_assay(name: str) -> tuple[SequencingGraph, Mapping[str, str] | None]:
             return generate(name), None
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    try:
-        return BUNDLED_ASSAYS[name]()
-    except KeyError:
-        raise UsageError(
-            f"unknown protocol {name!r}; choose from {sorted(BUNDLED_ASSAYS)} "
-            "or a generator spec like 'gen:dilution-ladder:n=128:seed=7'"
-        ) from None
+    return BUNDLED_ASSAYS[name]()

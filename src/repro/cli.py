@@ -46,11 +46,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro import __version__
 from repro.assay.catalog import BUNDLED_ASSAYS as PROTOCOLS
-from repro.assay.catalog import build_assay, is_generator_spec
+from repro.assay.catalog import build_assay
 from repro.exec import (
     STATUS_CRASHED,
     STATUS_INFEASIBLE,
@@ -59,7 +60,7 @@ from repro.exec import (
     STATUS_TIMEOUT,
 )
 from repro.fault.models import FAULT_MODELS
-from repro.placement.annealer import AnnealingParams
+from repro.pipeline.spec import SynthesisSpec
 from repro.util.errors import (
     ReproError,
     UsageError,
@@ -107,35 +108,21 @@ def _exit_code(statuses) -> int:
     return EXIT_OK
 
 
-def _params(fast: bool) -> AnnealingParams:
-    return AnnealingParams.fast() if fast else AnnealingParams.balanced()
-
-
-def _max_parked(args: argparse.Namespace, *protocols: str) -> int | None:
-    """Storage-pressure bound for the list scheduler.
-
-    Generated workloads default to 2: wide random graphs otherwise park
-    product droplets into routing obstacles (DESIGN.md, drain chains).
-    Bundled assays keep their unbounded golden schedules. An explicit
-    ``--max-parked`` wins either way.
-    """
-    if getattr(args, "max_parked", None) is not None:
-        return args.max_parked
-    names = protocols or (getattr(args, "protocol", None) or "",)
-    return 2 if any(is_generator_spec(n) for n in names) else None
+def _spec(args: argparse.Namespace, **fields) -> SynthesisSpec:
+    """The synthesis the command's flags describe; *fields* override."""
+    flags = dict(
+        fast=args.fast, max_concurrent=args.max_concurrent,
+        max_parked=args.max_parked, seed=args.seed,
+    )
+    if hasattr(args, "beta"):  # the single-protocol synthesis commands
+        flags.update(assay=args.protocol, beta=args.beta)
+    return SynthesisSpec(**{**flags, **fields})
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    from repro.synthesis.flow import SynthesisFlow
     from repro.viz.ascii_art import render_fti_map, render_gantt, render_placement
 
-    graph, binding = build_assay(args.protocol)
-    flow = SynthesisFlow(
-        placer=_placer(args),
-        max_concurrent_ops=args.max_concurrent,
-        max_parked=_max_parked(args),
-    )
-    result = flow.run(graph, explicit_binding=binding)
+    result = _spec(args).run()
 
     print(render_gantt(result.schedule))
     print()
@@ -146,21 +133,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         print()
     print(result.summary())
     return 0
-
-
-def _placer(args: argparse.Namespace):
-    from repro.placement.sa_placer import SimulatedAnnealingPlacer
-    from repro.placement.two_stage import TwoStagePlacer
-
-    cross_check = getattr(args, "cross_check", False)
-    if getattr(args, "beta", None) is not None:
-        return TwoStagePlacer(
-            beta=args.beta, stage1_params=_params(args.fast), seed=args.seed,
-            cross_check=cross_check,
-        )
-    return SimulatedAnnealingPlacer(
-        params=_params(args.fast), seed=args.seed, cross_check=cross_check
-    )
 
 
 def _profiled(enabled: bool, fn):
@@ -182,17 +154,14 @@ def _profiled(enabled: bool, fn):
 
 
 def cmd_place(args: argparse.Namespace) -> int:
-    from repro.pipeline.context import SynthesisContext
-    from repro.pipeline.stages import BindStage, ScheduleStage
     from repro.viz.ascii_art import render_placement
 
-    graph, binding = build_assay(args.protocol)
-    context = SynthesisContext(graph=graph, explicit_binding=binding)
-    BindStage().run(context)
-    ScheduleStage(
-        max_concurrent_ops=args.max_concurrent, max_parked=_max_parked(args)
-    ).run(context)
-    placer = _placer(args)
+    spec = _spec(args)
+    pipeline = spec.build(cross_check=args.cross_check)
+    context = spec.context()
+    for stage in ("bind", "schedule"):
+        pipeline.stage(stage).run(context)
+    placer = pipeline.stage("place").placer
 
     placed = _profiled(
         args.profile, lambda: placer.place(context.schedule, context.binding)
@@ -214,28 +183,15 @@ def cmd_place(args: argparse.Namespace) -> int:
 
 def cmd_route(args: argparse.Namespace) -> int:
     from repro.routing import RoutingSynthesizer
-    from repro.synthesis.flow import SynthesisFlow
     from repro.util.errors import RoutingError
 
     if args.reference and args.cross_check:
         raise UsageError("--reference and --cross-check are mutually exclusive")
-    graph, binding = build_assay(args.protocol)
-    flow = SynthesisFlow(
-        placer=_placer(args),
-        max_concurrent_ops=args.max_concurrent,
-        max_parked=_max_parked(args),
-        route=True,
-        routing_synthesizer=RoutingSynthesizer(
-            reference=args.reference, cross_check=args.cross_check
-        ),
-    )
+    spec = _spec(args, route=True)
+    router = RoutingSynthesizer(reference=args.reference, cross_check=args.cross_check)
+    faulty = [tuple(f) for f in args.faulty or ()]
     result = _profiled(
-        args.profile,
-        lambda: flow.run(
-            graph,
-            explicit_binding=binding,
-            faulty_cells=[tuple(f) for f in args.faulty or ()],
-        ),
+        args.profile, lambda: spec.run(faulty, routing_synthesizer=router)
     )
     plan = result.routing_plan
     print(plan.table_text())
@@ -302,18 +258,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     import time
 
     from repro.sim.engine import BiochipSimulator
-    from repro.synthesis.flow import SynthesisFlow
 
     engine = "stepped" if args.stepped else "event"
     pairs = _paired_faults(args)
-    graph, binding = build_assay(args.protocol)
-    flow = SynthesisFlow(
-        placer=_placer(args),
-        max_concurrent_ops=args.max_concurrent,
-        max_parked=_max_parked(args),
-        route=True,
-    )
-    result = flow.run(graph, explicit_binding=binding)
+    result = _spec(args, route=True).run()
     sim = BiochipSimulator(
         result.graph,
         result.schedule,
@@ -379,19 +327,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_portfolio(args: argparse.Namespace) -> int:
-    from repro.pipeline import PortfolioSpec, run_portfolio
+    from repro.pipeline import run_portfolio
     from repro.util.tables import format_table
 
-    graph, binding = build_assay(args.protocol)
-    spec = PortfolioSpec(
-        graph=graph,
-        explicit_binding=binding,
-        annealing=_params(args.fast),
-        beta=args.beta,
-        max_concurrent_ops=args.max_concurrent,
-        max_parked=_max_parked(args),
-        route=args.route,
-    )
+    spec = _spec(args, route=args.route)
     if args.profile and args.jobs > 1:
         print(
             "portfolio: --profile instruments only the parent process; "
@@ -402,7 +341,7 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
     result = _profiled(
         args.profile,
         lambda: run_portfolio(
-            spec, n=args.n, seed=args.seed, objective=args.objective,
+            spec, n=args.n, objective=args.objective,
             jobs=args.jobs, task_timeout=args.task_timeout,
             max_retries=args.max_retries,
         ),
@@ -435,14 +374,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     from repro.pipeline import BUILTIN_FAULT_PATTERNS, BatchScenarioRunner
 
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    unknown = [
-        p for p in protocols if p not in PROTOCOLS and not is_generator_spec(p)
-    ]
-    if unknown:
-        raise UsageError(
-            f"unknown protocol(s) {unknown}; choose from {sorted(PROTOCOLS)} "
-            "or generator specs like 'gen:panel:n=64:seed=1'"
-        )
     faults = [f.strip() for f in args.faults.split(",") if f.strip()]
     bad = [f for f in faults if f not in BUILTIN_FAULT_PATTERNS]
     if bad:
@@ -451,14 +382,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
             f"choose from {sorted(BUILTIN_FAULT_PATTERNS)}"
         )
     runner = BatchScenarioRunner(
-        assays={name: build_assay(name) for name in protocols},
+        _spec(args, route=args.route, verify=args.verify),
+        assays=protocols,
         fault_patterns=[BUILTIN_FAULT_PATTERNS[f] for f in faults],
-        annealing=_params(args.fast),
-        max_concurrent_ops=args.max_concurrent,
-        max_parked=_max_parked(args, *protocols),
-        route=args.route,
-        verify=args.verify,
-        seed=args.seed,
     )
     report = runner.run(
         jobs=args.jobs,
@@ -539,10 +465,8 @@ def _recovery_timeline(outcome) -> str:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    from repro.placement.annealer import AnnealingParams
     from repro.recovery import MonteCarloRecoverySweep, OnlineRecoveryEngine
     from repro.recovery.engine import FAULT_TARGETS, pick_fault_cell
-    from repro.synthesis.flow import SynthesisFlow
 
     protocols = sorted(PROTOCOLS) if args.protocol == "all" else [args.protocol]
     if args.target is not None and args.target not in FAULT_TARGETS:
@@ -567,6 +491,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
             "(oracle detection never consults the sensor)"
         )
 
+    spec = _spec(args, assay=protocols[0], route=True)
     if args.sweep:
         if args.cell:
             raise UsageError(
@@ -575,6 +500,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
                 "narrow the grid instead)"
             )
         sweep = MonteCarloRecoverySweep(
+            spec,
             assays=protocols,
             time_fractions=(
                 tuple(f for f, _ in pairs) if pairs else (0.25, 0.5, 0.75)
@@ -583,14 +509,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
                 (args.target,) if args.target is not None
                 else ("pending-module", "street")
             ),
-            annealing=_params(args.fast),
-            recovery_annealing=(
-                AnnealingParams.fast() if args.fast
-                else AnnealingParams.low_temperature()
-            ),
-            max_concurrent_ops=args.max_concurrent,
-            max_parked=_max_parked(args, *protocols),
-            seed=args.seed,
             fault_model=args.fault_model,
             detection="closed-loop" if args.closed_loop else "oracle",
             sensor_fpr=args.sensor_fpr,
@@ -619,31 +537,21 @@ def cmd_recover(args: argparse.Namespace) -> int:
         )
 
     target = args.target if args.target is not None else "pending-module"
-    engine = OnlineRecoveryEngine(
-        annealing=(
-            AnnealingParams.fast() if args.fast
-            else AnnealingParams.low_temperature()
-        ),
-    )
+    engine = OnlineRecoveryEngine(annealing=spec.recovery_annealing)
+    specs = [replace(spec, assay=name) for name in protocols]
     closed = (
         args.closed_loop or args.fault_model != "permanent" or len(pairs) > 1
     )
     if closed:
-        return _recover_closed_loop(args, protocols, pairs, target, engine)
+        return _recover_closed_loop(args, specs, pairs, target, engine)
 
     fault_fraction = pairs[0][0] if pairs else 0.5
     outcomes = {}
     exit_code = EXIT_OK
-    for name in protocols:
-        graph, binding = build_assay(name)
-        flow = SynthesisFlow(
-            placer=_placer(args),
-            max_concurrent_ops=args.max_concurrent,
-            max_parked=_max_parked(args, name),
-            route=True,
-        )
+    for assay_spec in specs:
+        name = assay_spec.assay
         try:
-            result = flow.run(graph, explicit_binding=binding)
+            result = assay_spec.run()
             fault_time = fault_fraction * result.schedule.makespan
             checkpoint = engine.checkpoint_of(result, fault_time)
             if pairs and pairs[0][1] is not None:
@@ -677,7 +585,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 def _recover_closed_loop(
     args: argparse.Namespace,
-    protocols: list[str],
+    specs: list[SynthesisSpec],
     pairs: list[tuple[float, tuple[int, int] | None]],
     target: str,
     engine,
@@ -693,7 +601,6 @@ def _recover_closed_loop(
     from repro.geometry import Point
     from repro.recovery import ClosedLoopController, pick_fault_cell
     from repro.recovery.sweep import scenario_events
-    from repro.synthesis.flow import SynthesisFlow
     from repro.testing.detector import CapacitiveSensor
     from repro.util.rng import ensure_rng
 
@@ -708,16 +615,10 @@ def _recover_closed_loop(
     )
     outcomes = {}
     exit_code = EXIT_OK
-    for name in protocols:
-        graph, binding = build_assay(name)
-        flow = SynthesisFlow(
-            placer=_placer(args),
-            max_concurrent_ops=args.max_concurrent,
-            max_parked=_max_parked(args, name),
-            route=True,
-        )
+    for assay_spec in specs:
+        name = assay_spec.assay
         try:
-            result = flow.run(graph, explicit_binding=binding)
+            result = assay_spec.run()
             makespan = result.schedule.makespan
             width, height = result.placement_result.placement.array_dims()
             rng = ensure_rng(args.seed)
@@ -765,7 +666,9 @@ def _recover_closed_loop(
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.table2 import run_beta_sweep
 
-    sweep = run_beta_sweep(seed=args.seed, stage1_params=_params(args.fast))
+    sweep = run_beta_sweep(
+        seed=args.seed, stage1_params=SynthesisSpec(fast=args.fast).annealing
+    )
     print(sweep.table_text())
     return 0
 
@@ -787,7 +690,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from repro.synthesis.architect import ArchitecturalExplorer
 
     graph, _ = build_assay(args.protocol)
-    explorer = ArchitecturalExplorer(params=_params(args.fast), seed=args.seed)
+    explorer = ArchitecturalExplorer(
+        params=SynthesisSpec(fast=args.fast).annealing, seed=args.seed
+    )
     result = explorer.explore(graph)
     print(result.table_text())
     print()
@@ -800,8 +705,29 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_supervision_args(p: argparse.ArgumentParser) -> None:
-    """Supervised-execution knobs shared by the parallel commands."""
+def _add_synthesis_args(p: argparse.ArgumentParser, protocol: bool) -> None:
+    """The synthesis flags :func:`_spec` reads; *protocol* adds the
+    single-protocol commands' ``--protocol`` and ``--beta``."""
+    if protocol:
+        p.add_argument(
+            "--protocol", default="pcr", metavar="NAME",
+            help=f"bundled assay ({'/'.join(sorted(PROTOCOLS))}) or generator "
+                 "spec like gen:panel:n=64:seed=1",
+        )
+        p.add_argument("--beta", type=float, default=None,
+                       help="enable the fault-aware two-stage placer at this beta")
+    p.add_argument("--max-concurrent", type=int, default=3)
+    p.add_argument(
+        "--max-parked", type=int, default=None,
+        help="bound finished-but-unconsumed product droplets during "
+             "scheduling (default: 2 for gen: workloads, unbounded "
+             "for bundled assays)",
+    )
+
+
+def _add_supervision_args(p: argparse.ArgumentParser, journal: bool) -> None:
+    """Supervised-execution knobs shared by the parallel commands;
+    *journal* adds the crash-safe ``--journal``/``--resume`` pair."""
     p.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="per-task deadline; a hung worker is killed and the task "
@@ -812,7 +738,7 @@ def _add_supervision_args(p: argparse.ArgumentParser) -> None:
         help="retry budget per task for crashed or deadline-killed "
              "workers (exit 5 once a crashed task exhausts it)",
     )
-    if p.prog.endswith(("batch", "recover", "campaign")):
+    if journal:
         p.add_argument(
             "--journal", type=str, default=None, metavar="FILE",
             help="append every completed scenario to this crash-safe "
@@ -940,30 +866,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify", action=argparse.BooleanOptionalAction, default=False,
         help="replay each scenario on the droplet-level simulator",
     )
-    batch.add_argument("--max-concurrent", type=int, default=3)
-    batch.add_argument(
-        "--max-parked", type=int, default=None,
-        help="bound finished-but-unconsumed product droplets during "
-             "scheduling (default: 2 for gen: workloads, unbounded "
-             "for bundled assays)",
-    )
     batch.set_defaults(func=cmd_batch)
 
     for p in (flow, place, route, simulate, portfolio):
-        p.add_argument(
-            "--protocol", default="pcr", metavar="NAME",
-            help=f"bundled assay ({'/'.join(sorted(PROTOCOLS))}) or generator "
-                 "spec like gen:panel:n=64:seed=1",
-        )
-        p.add_argument("--beta", type=float, default=None,
-                       help="enable the fault-aware two-stage placer at this beta")
-        p.add_argument("--max-concurrent", type=int, default=3)
-        p.add_argument(
-            "--max-parked", type=int, default=None,
-            help="bound finished-but-unconsumed product droplets during "
-             "scheduling (default: 2 for gen: workloads, unbounded "
-             "for bundled assays)",
-        )
+        _add_synthesis_args(p, protocol=True)
+    _add_synthesis_args(batch, protocol=False)
 
     for p in (place, route, simulate, portfolio):
         p.add_argument(
@@ -982,8 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--json", action="store_true",
             help="emit the machine-readable report as JSON",
         )
-    for p in (portfolio, batch):
-        _add_supervision_args(p)
+    _add_supervision_args(portfolio, journal=False)
+    _add_supervision_args(batch, journal=True)
 
     campaign = sub.add_parser(
         "campaign",
@@ -1013,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the machine-readable report as JSON",
     )
-    _add_supervision_args(campaign)
+    _add_supervision_args(campaign, journal=True)
     campaign.set_defaults(func=cmd_campaign)
 
     recover = sub.add_parser(
@@ -1075,13 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the Monte-Carlo recovery sweep "
              "(assay x fault-arrival x fault-pattern) instead of one demo fault",
     )
-    recover.add_argument("--max-concurrent", type=int, default=3)
-    recover.add_argument(
-        "--max-parked", type=int, default=None,
-        help="bound finished-but-unconsumed product droplets during "
-             "scheduling (default: 2 for gen: workloads, unbounded "
-             "for bundled assays)",
-    )
+    _add_synthesis_args(recover, protocol=False)
     recover.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for --sweep (1 = serial)",
@@ -1090,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the machine-readable report as JSON",
     )
-    _add_supervision_args(recover)
+    _add_supervision_args(recover, journal=True)
     recover.set_defaults(func=cmd_recover)
 
     sweep = sub.add_parser("sweep", help="Table 2 beta sweep")

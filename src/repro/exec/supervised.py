@@ -38,6 +38,7 @@ retries eventually recover (property-tested in
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -143,8 +144,12 @@ class SupervisedPool:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be positive, got {task_timeout}")
+        if task_timeout is not None and not (
+            math.isfinite(task_timeout) and task_timeout > 0
+        ):
+            raise ValueError(
+                f"task_timeout must be finite and positive, got {task_timeout}"
+            )
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if pool_failure_limit < 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.assay.catalog import build_assay
 from repro.experiments import paper_constants as paper
 from repro.experiments.fig2 import demonstrate_3d_reduction
 from repro.experiments.fig4 import run_reconfiguration_example
@@ -20,15 +19,12 @@ from repro.experiments.fig8 import run_enhanced_experiment
 from repro.experiments.pcr import pcr_case_study, verify_table1
 from repro.experiments.table2 import run_beta_sweep
 from repro.fault.fti import compute_fti
-from repro.pipeline import BUILTIN_FAULT_PATTERNS, BatchScenarioRunner
-from repro.placement.annealer import AnnealingParams
+from repro.pipeline import BUILTIN_FAULT_PATTERNS, BatchScenarioRunner, SynthesisSpec
 from repro.util.tables import format_table
 from repro.viz.ascii_art import render_fti_map, render_gantt, render_placement
 
 
-def run_scenario_grid(
-    seed: int = 7, params: AnnealingParams | None = None, jobs: int = 1
-):
+def run_scenario_grid(seed: int = 7, fast: bool = True, jobs: int = 1):
     """The standard fault-scenario grid over the bundled assays.
 
     Three assays x (fault-free, center-fault) through the staged
@@ -37,21 +33,19 @@ def run_scenario_grid(
     its own entry point so the benchmark harness can time it.
     """
     runner = BatchScenarioRunner(
-        assays={name: build_assay(name) for name in ("pcr", "dilution", "ivd")},
+        SynthesisSpec(fast=fast, route=True, seed=seed),
+        assays=("pcr", "dilution", "ivd"),
         fault_patterns=[
             BUILTIN_FAULT_PATTERNS["none"],
             BUILTIN_FAULT_PATTERNS["center"],
         ],
-        annealing=params if params is not None else AnnealingParams.fast(),
-        route=True,
-        seed=seed,
     )
     return runner.run(jobs=jobs)
 
 
 def run_all_experiments(seed: int = 7, fast: bool = True, jobs: int = 1) -> str:
     """Execute every experiment; returns the full markdown-ish report."""
-    params = AnnealingParams.fast() if fast else AnnealingParams.balanced()
+    params = SynthesisSpec(fast=fast).annealing
     sections = []
     t0 = time.perf_counter()
 
@@ -120,7 +114,7 @@ def run_all_experiments(seed: int = 7, fast: bool = True, jobs: int = 1) -> str:
     )
 
     sections.append("\n\n## Fault-scenario grid (pipeline extension)\n")
-    grid = run_scenario_grid(seed=seed, params=params, jobs=jobs)
+    grid = run_scenario_grid(seed=seed, fast=fast, jobs=jobs)
     sections.append(grid.table_text())
     sections.append(
         f"\n{grid.ok_count}/{len(grid.records)} scenarios synthesized and "

@@ -11,6 +11,8 @@ as composable pieces:
 * :mod:`repro.pipeline.pipeline` — :class:`Pipeline` (ordered stage
   execution, fault-boundary splitting) and
   :func:`build_default_pipeline`.
+* :mod:`repro.pipeline.spec` — :class:`SynthesisSpec`, the picklable
+  recipe every entry point builds its synthesis from.
 * :mod:`repro.pipeline.portfolio` — best-of-N seeded instances in
   parallel via ``ProcessPoolExecutor``, deterministic winner selection.
 * :mod:`repro.pipeline.batch` — (assay x array size x fault pattern)
@@ -33,11 +35,11 @@ from repro.pipeline.portfolio import (
     OBJECTIVES,
     InstanceOutcome,
     PortfolioResult,
-    PortfolioSpec,
     instance_seeds,
     objective_value,
     run_portfolio,
 )
+from repro.pipeline.spec import SynthesisSpec
 from repro.pipeline.stages import (
     BindStage,
     PlaceStage,
@@ -59,7 +61,6 @@ __all__ = [
     "Pipeline",
     "PlaceStage",
     "PortfolioResult",
-    "PortfolioSpec",
     "RecoveryStage",
     "RouteStage",
     "ScenarioRecord",
@@ -67,6 +68,7 @@ __all__ = [
     "SimVerifyStage",
     "Stage",
     "SynthesisContext",
+    "SynthesisSpec",
     "build_default_pipeline",
     "instance_seeds",
     "normalize_faulty_cells",

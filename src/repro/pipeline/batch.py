@@ -29,17 +29,12 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.assay.graph import SequencingGraph
 from repro.exec import STATUS_INFEASIBLE, STATUS_OK
 from repro.exec.scenarios import Scenario, Unit, duplicate_keys, run_scenarios
 from repro.geometry import Point
-from repro.pipeline.context import SynthesisContext
-from repro.pipeline.pipeline import build_default_pipeline
-from repro.placement.annealer import AnnealingParams
-from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.synthesis.binder import ResourceBinder
+from repro.pipeline.spec import SynthesisSpec
 from repro.synthesis.flow import SynthesisResult
 from repro.util.errors import PipelineError, ReproError
 from repro.util.tables import format_table
@@ -281,10 +276,10 @@ def _failed(
     Nothing upstream completed, so nothing was reused and no fault was
     placed.
     """
-    _, assay, size = unit.params
+    spec: SynthesisSpec = unit.params
     return ScenarioRecord(
-        assay=assay,
-        array_size=size,
+        assay=spec.assay,
+        array_size=spec.array,
         fault_pattern=scenario.params.name,
         faulty_cells=(),
         ok=False,
@@ -297,27 +292,11 @@ def _failed(
 def _run_combo(unit: Unit) -> list[ScenarioRecord]:
     """Run one (assay, array size) combo: prefix once, fault-dependent
     suffix per pattern."""
-    runner, assay, size = unit.params
-    graph, binding = runner.assays[assay]
-    core_w, core_h = size if size else (None, None)
-    placer = SimulatedAnnealingPlacer(
-        params=runner.annealing,
-        core_width=core_w,
-        core_height=core_h,
-        seed=unit.seed,
-    )
-    pipeline = build_default_pipeline(
-        placer=placer,
-        max_concurrent_ops=runner.max_concurrent_ops,
-        cell_capacity=runner.cell_capacity,
-        max_parked=runner.max_parked,
-        binding_strategy=runner.binding_strategy,
-        route=runner.route,
-        verify=runner.verify,
-    )
+    spec = replace(unit.params, seed=unit.seed)
+    pipeline = spec.build()
     prefix, suffix = pipeline.split_on_faults()
 
-    base = SynthesisContext(graph=graph, explicit_binding=binding)
+    base = spec.context()
     try:
         prefix.run(base)
     except ReproError as exc:  # the whole combo is unsynthesizable
@@ -345,8 +324,8 @@ def _run_combo(unit: Unit) -> list[ScenarioRecord]:
             error = f"{type(exc).__name__}: {exc}"
         records.append(
             ScenarioRecord(
-                assay=assay,
-                array_size=size,
+                assay=spec.assay,
+                array_size=spec.array,
                 fault_pattern=pattern.name,
                 faulty_cells=cells,
                 ok=error is None,
@@ -362,27 +341,22 @@ def _run_combo(unit: Unit) -> list[ScenarioRecord]:
 class BatchScenarioRunner:
     """Sweeps a scenario grid through the staged pipeline.
 
-    *assays* maps a name to ``(graph, explicit_binding_or_None)``;
-    *array_sizes* lists core areas to place into (``None`` = auto-sized);
-    *fault_patterns* lists defect scenarios layered on each placement.
+    *spec* is the template every combo synthesizes from: its ``seed``
+    seeds the sweep, and each combo replaces its ``assay`` with one of
+    *assays* (bundled names or ``gen:`` specs) and its ``array`` with
+    one of *array_sizes* (``None`` = auto-sized). *fault_patterns*
+    lists defect scenarios layered on each placement.
     """
 
     def __init__(
         self,
-        assays: Mapping[str, tuple[SequencingGraph, Mapping[str, str] | None]],
+        spec: SynthesisSpec,
+        assays: Sequence[str],
         fault_patterns: Sequence[FaultPattern] = (
             BUILTIN_FAULT_PATTERNS["none"],
             BUILTIN_FAULT_PATTERNS["center"],
         ),
         array_sizes: Sequence[tuple[int, int] | None] = (None,),
-        annealing: AnnealingParams | None = None,
-        max_concurrent_ops: int | None = 3,
-        cell_capacity: int | None = None,
-        max_parked: int | None = None,
-        binding_strategy: str = ResourceBinder.FASTEST,
-        route: bool = True,
-        verify: bool = False,
-        seed: int = 7,
     ) -> None:
         if not assays:
             raise PipelineError("batch sweep needs at least one assay")
@@ -401,24 +375,21 @@ class BatchScenarioRunner:
             for p in fault_patterns
             if not (p.kind == "none" or (p.kind == "cells" and not p.cells))
         ]
-        if injecting and not (route or verify):
+        if injecting and not (spec.route or spec.verify):
             # Without a fault-consuming stage the defect scenarios would
             # be reported "ok" without ever being exercised.
             raise PipelineError(
                 f"fault patterns {injecting} need a fault-consuming stage; "
                 "enable route=True or verify=True"
             )
-        self.assays = dict(assays)
+        self.spec = spec
+        # One spec per combo; building each validates its assay name.
+        self.combos = {
+            combo_key(assay, size): replace(spec, assay=assay, array=size)
+            for assay in assays
+            for size in array_sizes
+        }
         self.fault_patterns = tuple(fault_patterns)
-        self.array_sizes = tuple(array_sizes)
-        self.annealing = annealing
-        self.max_concurrent_ops = max_concurrent_ops
-        self.cell_capacity = cell_capacity
-        self.max_parked = max_parked
-        self.binding_strategy = binding_strategy
-        self.route = route
-        self.verify = verify
-        self.seed = seed
 
     def run(
         self,
@@ -439,18 +410,14 @@ class BatchScenarioRunner:
         scenario, never journaled, so a resume retries it.
         """
         t0 = time.perf_counter()
-        # Each unit carries the runner itself: workers read its knobs
-        # and the combo's graph from it.
         records, _ = run_scenarios(
             _run_combo,
             (
-                (combo_key(assay, size), (self, assay, size),
-                 scenario_key(assay, size, p.name), p)
-                for assay in self.assays
-                for size in self.array_sizes
+                (key, spec, scenario_key(spec.assay, spec.array, p.name), p)
+                for key, spec in self.combos.items()
                 for p in self.fault_patterns
             ),
-            seed=self.seed,
+            seed=self.spec.seed,
             kind=JOURNAL_KIND,
             resumed=ScenarioRecord.from_journal,
             failed=_failed,
@@ -462,7 +429,7 @@ class BatchScenarioRunner:
             resume_from=resume_from,
         )
         return BatchReport(
-            seed=self.seed,
+            seed=self.spec.seed,
             jobs=jobs,
             wall_s=time.perf_counter() - t0,
             records=records,

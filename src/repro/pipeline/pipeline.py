@@ -146,15 +146,12 @@ def build_default_pipeline(
     return Pipeline(stages)
 
 
-def build_default_placer(rng: random.Random, record_history: bool = True):
+def build_default_placer(rng: random.Random):
     """The flow's default placer, seeded from the flow generator.
 
-    Factored out so the facade, the pipeline builder, and the portfolio
-    executor derive the placer stream identically — one ``spawn_rng``
-    draw from the flow RNG — keeping a fixed seed bit-for-bit
-    reproducible across all entry points. ``record_history`` does not
-    touch the stream; portfolio runs turn it off.
+    Factored out so the facade and the pipeline builder derive the
+    placer stream identically — one ``spawn_rng`` draw from the flow
+    RNG — keeping a fixed seed bit-for-bit reproducible across both
+    entry points.
     """
-    return SimulatedAnnealingPlacer(
-        seed=spawn_rng(rng), record_history=record_history
-    )
+    return SimulatedAnnealingPlacer(seed=spawn_rng(rng))

@@ -8,32 +8,29 @@ supervised execution layer (:class:`repro.exec.SupervisedPool`) so the
 N instances use every available core and survive worker crashes or
 deadline overruns, while staying bit-for-bit deterministic:
 
-* instance seeds are spawned from the flow seed up front
+* instance seeds are spawned from the spec's seed up front
   (:func:`instance_seeds`) — instance *i*'s stream never depends on
   which worker runs it or how many workers exist;
 * results are collected in instance order and ties broken by the lowest
   instance index, so the selected winner is identical for any
   ``jobs`` count (``jobs=1`` runs in-process, no pool at all).
 
-The first instance reuses the flow seed itself, so a best-of-1
-portfolio reproduces the plain ``SynthesisFlow(seed=...)`` facade
-exactly.
+The first instance reuses the spec's seed itself, so a best-of-1
+balanced-preset portfolio reproduces the plain
+``SynthesisFlow(seed=...)`` facade exactly.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.assay.graph import SequencingGraph
 from repro.exec import STATUS_INFEASIBLE, SupervisedPool
-from repro.geometry import Point
-from repro.placement.annealer import AnnealingParams
-from repro.synthesis.binder import ResourceBinder
-from repro.synthesis.flow import SynthesisFlow, SynthesisResult
+from repro.pipeline.spec import SynthesisSpec
+from repro.synthesis.flow import SynthesisResult
 from repro.util.errors import PipelineError, WorkerCrashError, WorkerTimeoutError
-from repro.util.rng import ensure_rng, spawn_rng, spawn_seed
+from repro.util.rng import ensure_rng, spawn_seed
 
 #: Selectable objectives: name -> (extractor, sense). ``min`` objectives
 #: prefer smaller values; ``max`` objectives larger. Extractors return
@@ -72,7 +69,7 @@ def _sort_key(value: float, objective: str) -> float:
 def instance_seeds(seed: int, n: int) -> list[int]:
     """Deterministic per-instance seeds for a best-of-*n* portfolio.
 
-    Instance 0 runs under the flow seed itself (so ``n=1`` reproduces
+    Instance 0 runs under the portfolio seed itself (so ``n=1`` reproduces
     the serial facade); instances 1..n-1 get independent child seeds
     spawned from it. The list depends only on ``(seed, n)`` — never on
     scheduling — which is what makes the portfolio winner stable across
@@ -86,86 +83,15 @@ def instance_seeds(seed: int, n: int) -> list[int]:
     return [seed] + [spawn_seed(rng) for _ in range(n - 1)]
 
 
-@dataclass(frozen=True)
-class PortfolioSpec:
-    """A picklable recipe for one pipeline family.
+def _run_instance(spec: SynthesisSpec) -> SynthesisResult:
+    """Worker entry point — module level so it pickles.
 
-    Everything a worker process needs to rebuild and run the pipeline:
-    the problem (graph, explicit binding, faulty cells) and the
-    algorithm knobs. ``build_flow(seed)`` turns it into a ready
-    :class:`SynthesisFlow`, deriving the placer stream from the instance
-    seed exactly the way the facade does.
+    Placers run with ``record_history=False``: per-round history tuples
+    are dead weight for a best-of-N search (N instances of them would
+    cross process boundaries just to be dropped), and the placement
+    trajectory is unaffected.
     """
-
-    graph: SequencingGraph
-    explicit_binding: Mapping[str, str] | None = None
-    faulty_cells: tuple[Point, ...] = ()
-    #: Annealing preset for the placer; ``None`` keeps the flow default.
-    annealing: AnnealingParams | None = None
-    #: Enable the fault-aware two-stage placer at this beta.
-    beta: float | None = None
-    max_concurrent_ops: int | None = 3
-    cell_capacity: int | None = None
-    max_parked: int | None = None
-    binding_strategy: str = ResourceBinder.FASTEST
-    compute_fti_report: bool = True
-    route: bool = False
-
-    def build_flow(self, seed: int) -> SynthesisFlow:
-        """A flow for one portfolio instance, fully seeded by *seed*.
-
-        Placers run with ``record_history=False``: per-round history
-        tuples are dead weight for a best-of-N search (N instances of
-        them would cross process boundaries just to be dropped), and
-        the placement trajectory is unaffected.
-        """
-        rng = ensure_rng(seed)
-        if self.beta is not None:
-            from repro.placement.two_stage import TwoStagePlacer
-
-            placer = TwoStagePlacer(
-                beta=self.beta, stage1_params=self.annealing, seed=spawn_rng(rng),
-                record_history=False,
-            )
-        elif self.annealing is not None:
-            from repro.placement.sa_placer import SimulatedAnnealingPlacer
-
-            placer = SimulatedAnnealingPlacer(
-                params=self.annealing, seed=spawn_rng(rng),
-                record_history=False,
-            )
-        else:
-            # Mirror the flow's own default-placer derivation (one
-            # spawn_rng draw) so a best-of-1 portfolio still reproduces
-            # the facade bit-for-bit, history disabled all the same.
-            from repro.pipeline.pipeline import build_default_placer
-
-            placer = build_default_placer(rng, record_history=False)
-        return SynthesisFlow(
-            placer=placer,
-            max_concurrent_ops=self.max_concurrent_ops,
-            cell_capacity=self.cell_capacity,
-            max_parked=self.max_parked,
-            binding_strategy=self.binding_strategy,
-            compute_fti_report=self.compute_fti_report,
-            seed=rng,
-            route=self.route,
-        )
-
-    def run_instance(self, seed: int) -> SynthesisResult:
-        """Run one seeded pipeline instance to completion."""
-        flow = self.build_flow(seed)
-        return flow.run(
-            self.graph,
-            explicit_binding=self.explicit_binding,
-            faulty_cells=self.faulty_cells,
-        )
-
-
-def _run_instance(task: tuple[PortfolioSpec, int]) -> SynthesisResult:
-    """Worker entry point — module level so it pickles."""
-    spec, seed = task
-    return spec.run_instance(seed)
+    return spec.run(record_history=False)
 
 
 @dataclass(frozen=True)
@@ -238,9 +164,8 @@ class PortfolioResult:
 
 
 def run_portfolio(
-    spec: PortfolioSpec,
+    spec: SynthesisSpec,
     n: int = 4,
-    seed: int = 7,
     objective: str = "area",
     jobs: int = 1,
     *,
@@ -248,14 +173,17 @@ def run_portfolio(
     max_retries: int = 2,
     chaos=None,
 ) -> PortfolioResult:
-    """Run a best-of-*n* portfolio and select the winner.
+    """Run a best-of-*n* portfolio of *spec* and select the winner.
 
-    ``jobs=1`` executes in-process (no pool); ``jobs>1`` fans instances
-    out over a :class:`~repro.exec.SupervisedPool`. The outcome — every
-    instance's metrics and the selected winner — is identical either
-    way: a crashed or deadline-killed worker is retried with the same
-    seed, and an instance that still fails after ``max_retries`` lands
-    in ``PortfolioResult.failures`` instead of poisoning the rest. Only
+    Instance seeds spawn from ``spec.seed`` (:func:`instance_seeds`);
+    instance *i*'s placer is seeded with one 64-bit draw from its
+    instance seed. ``jobs=1`` executes in-process (no pool);
+    ``jobs>1`` fans instances out over a
+    :class:`~repro.exec.SupervisedPool`. The outcome — every instance's
+    metrics and the selected winner — is identical either way: a
+    crashed or deadline-killed worker is retried with the same seed,
+    and an instance that still fails after ``max_retries`` lands in
+    ``PortfolioResult.failures`` instead of poisoning the rest. Only
     when *every* instance fails does the portfolio raise.
     """
     if objective not in OBJECTIVES:
@@ -267,17 +195,12 @@ def run_portfolio(
     if objective == "route-steps" and not spec.route:
         raise PipelineError(
             "objective 'route-steps' needs the routing stage; "
-            "build the PortfolioSpec with route=True"
-        )
-    if objective == "fti" and not spec.compute_fti_report:
-        raise PipelineError(
-            "objective 'fti' needs the FTI report; "
-            "build the PortfolioSpec with compute_fti_report=True"
+            "build the SynthesisSpec with route=True"
         )
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    seeds = instance_seeds(seed, n)
-    tasks = [(spec, s) for s in seeds]
+    seeds = instance_seeds(spec.seed, n)
+    tasks = [replace(spec, seed=spawn_seed(ensure_rng(s))) for s in seeds]
 
     t0 = time.perf_counter()
     pool = SupervisedPool(

@@ -30,6 +30,7 @@ optimizing the wrong objective.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.fault.fti import FTIReport, compute_fti
@@ -158,8 +159,8 @@ class FaultAwareCost(AreaCost):
         super().__init__(
             alpha=alpha, overlap_weight=overlap_weight, pull_weight=pull_weight
         )
-        if beta < 0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
+        if not (math.isfinite(beta) and beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {beta}")
         self.beta = beta
         self.ft_gamma = ft_gamma
         self.fti_method = fti_method

@@ -38,15 +38,11 @@ import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 
-from repro.assay.catalog import BUNDLED_ASSAYS, build_assay, is_generator_spec
 from repro.exec import STATUS_INFEASIBLE, STATUS_OK
 from repro.exec.scenarios import Scenario, Unit, duplicate_keys, run_scenarios
 from repro.fault.models import CLEAR, FAIL, FAULT_MODELS, FaultEvent
 from repro.geometry import Point
-from repro.pipeline.context import SynthesisContext
-from repro.pipeline.pipeline import build_default_pipeline
-from repro.placement.annealer import AnnealingParams
-from repro.placement.sa_placer import SimulatedAnnealingPlacer
+from repro.pipeline.spec import SynthesisSpec
 from repro.recovery.closedloop import DETECTION_MODES, ClosedLoopController
 from repro.recovery.engine import (
     FAULT_TARGETS,
@@ -300,21 +296,14 @@ def _run_sweep_combo(unit: Unit) -> list[RecoveryRecord]:
     """One assay's block: synthesize the nominal configuration once,
     then recover it from every (arrival x target) scenario."""
     sweep, assay = unit.params, unit.key
-    graph, binding = build_assay(assay)
-    placer = SimulatedAnnealingPlacer(params=sweep.annealing, seed=unit.seed)
-    pipeline = build_default_pipeline(placer=placer,
-                                      max_concurrent_ops=sweep.max_concurrent_ops,
-                                      max_parked=sweep.max_parked,
-                                      route=True)
-    context = SynthesisContext(graph=graph, explicit_binding=binding)
+    spec = replace(sweep.specs[assay], seed=unit.seed)
     try:
-        pipeline.run(context)
-        result = context.result()
+        result = spec.run()
     except ReproError as exc:
         reason = f"nominal synthesis failed: {type(exc).__name__}: {exc}"
         return [_failed(unit, s, STATUS_INFEASIBLE, reason) for s in unit.scenarios]
 
-    engine = OnlineRecoveryEngine(annealing=sweep.recovery_annealing)
+    engine = OnlineRecoveryEngine(annealing=spec.recovery_annealing)
     #: The historical fast path — a single permanent fault with oracle
     #: knowledge — calls the engine directly and stays bit-identical to
     #: the seed behavior; everything else goes through the controller.
@@ -418,36 +407,26 @@ def _run_sweep_combo(unit: Unit) -> list[RecoveryRecord]:
 class MonteCarloRecoverySweep:
     """Fans (assay x fault-arrival x fault-pattern) recovery scenarios.
 
-    *assays* lists bundled-assay names (see
-    :mod:`repro.assay.catalog`); arrival times are fractions of each
-    assay's nominal makespan; *targets* are
+    *spec* is the template every assay's nominal synthesis is built
+    from: its ``seed`` seeds the sweep, and each assay block replaces
+    its ``assay`` with one of *assays* (bundled names or ``gen:``
+    specs) and routes. Arrival times are fractions of each assay's
+    nominal makespan; *targets* are
     :data:`~repro.recovery.engine.FAULT_TARGETS` kinds.
     """
 
     def __init__(
         self,
+        spec: SynthesisSpec,
         assays: Sequence[str] = ("pcr", "dilution", "ivd"),
         time_fractions: Sequence[float] = (0.25, 0.5, 0.75),
         targets: Sequence[str] = ("pending-module", "street"),
-        annealing: AnnealingParams | None = None,
-        recovery_annealing: AnnealingParams | None = None,
-        max_concurrent_ops: int | None = 3,
-        max_parked: int | None = None,
-        seed: int = 7,
         fault_model: str = "permanent",
         detection: str = "oracle",
         sensor_fpr: float = 0.0,
         sensor_fnr: float = 0.0,
         sensor_latency_s: float = 0.0,
     ) -> None:
-        unknown = [
-            a for a in assays if a not in BUNDLED_ASSAYS and not is_generator_spec(a)
-        ]
-        if unknown:
-            raise RecoveryError(
-                f"unknown assay(s) {unknown}; choose from {sorted(BUNDLED_ASSAYS)} "
-                "or generator specs like 'gen:panel:n=64:seed=1'"
-            )
         bad = [t for t in targets if t not in FAULT_TARGETS]
         if bad:
             raise RecoveryError(
@@ -465,14 +444,11 @@ class MonteCarloRecoverySweep:
         )
         if dupes:
             raise RecoveryError(f"duplicate scenario keys: {dupes}")
-        self.assays = tuple(assays)
+        self.spec = spec
+        # One spec per assay block; building each validates its name.
+        self.specs = {a: replace(spec, assay=a, route=True) for a in assays}
         self.time_fractions = tuple(time_fractions)
         self.targets = tuple(targets)
-        self.annealing = annealing
-        self.recovery_annealing = recovery_annealing
-        self.max_concurrent_ops = max_concurrent_ops
-        self.max_parked = max_parked
-        self.seed = seed
         if fault_model not in FAULT_MODELS:
             raise RecoveryError(
                 f"unknown fault model {fault_model!r}; "
@@ -520,11 +496,11 @@ class MonteCarloRecoverySweep:
             _run_sweep_combo,
             (
                 (assay, self, sweep_key(assay, f, t), (f, t))
-                for assay in self.assays
+                for assay in self.specs
                 for f in self.time_fractions
                 for t in self.targets
             ),
-            seed=self.seed,
+            seed=self.spec.seed,
             kind=JOURNAL_KIND,
             resumed=RecoveryRecord.from_dict,
             failed=_failed,
@@ -536,7 +512,7 @@ class MonteCarloRecoverySweep:
             resume_from=resume_from,
         )
         return RecoverySweepReport(
-            seed=self.seed,
+            seed=self.spec.seed,
             jobs=jobs,
             wall_s=time.perf_counter() - t0,
             records=records,

@@ -34,11 +34,12 @@ import json
 import os
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.exec import STATUS_OK, STATUS_RETRIED_OK
 from repro.exec.scenarios import Scenario, Unit, run_scenarios
+from repro.pipeline.spec import SynthesisSpec
 from repro.util.errors import ReproError, UsageError
 from repro.util.rng import derive_seed  # noqa: F401  (re-exported)
 from repro.util.tables import format_table
@@ -218,10 +219,11 @@ class CampaignConfig:
 
     name: str
     seed: int = 0
-    #: Synthesis knobs shared by every scenario.
-    max_concurrent: int = 3
-    max_parked: int | None = 2
-    fast: bool = True
+    #: Synthesis template shared by every scenario; each unit replaces
+    #: its assay, array and seed.
+    synthesis: SynthesisSpec = field(
+        default_factory=lambda: SynthesisSpec(route=True)
+    )
     #: Raw grid blocks; each expands as a full cross product.
     grids: list[dict] = field(default_factory=list)
 
@@ -239,7 +241,7 @@ class CampaignConfig:
             _require(campaign, "max_concurrent", int, "[campaign]")
             if "max_concurrent" in campaign else 3
         )
-        raw_parked = campaign.get("max_parked", 2)
+        raw_parked = campaign.get("max_parked")
         if raw_parked is not None and (isinstance(raw_parked, bool)
                                        or not isinstance(raw_parked, int)):
             raise UsageError(
@@ -258,9 +260,12 @@ class CampaignConfig:
             raise UsageError(
                 f"campaign config {source}: needs at least one [[grid]] block"
             )
+        synthesis = SynthesisSpec(
+            fast=fast, max_concurrent=max_concurrent, max_parked=raw_parked,
+            route=True,
+        )
         config = cls(
-            name=name, seed=seed, max_concurrent=max_concurrent,
-            max_parked=raw_parked, fast=fast, grids=[dict(g) for g in grids],
+            name=name, seed=seed, synthesis=synthesis, grids=[dict(g) for g in grids],
         )
         config.expand()  # validate eagerly: a bad grid fails at load time
         return config
@@ -495,31 +500,14 @@ def _record(
 def _run_unit(unit: Unit) -> list[CampaignRecord]:
     """Synthesize one ``spec|array`` unit once, then run every fault
     suffix on the result."""
-    from repro.assay.catalog import build_assay
-    from repro.placement.annealer import AnnealingParams
-    from repro.placement.sa_placer import SimulatedAnnealingPlacer
     from repro.recovery import ClosedLoopController, OnlineRecoveryEngine
     from repro.recovery.engine import pick_fault_cell
     from repro.recovery.sweep import scenario_events
-    from repro.synthesis.flow import SynthesisFlow
     from repro.util.rng import ensure_rng
 
-    config, spec, array = unit.params
-    params = AnnealingParams.fast() if config.fast else AnnealingParams.balanced()
-    core_w, core_h = array if array else (None, None)
+    spec = replace(unit.params, seed=unit.seed)
     try:
-        graph, binding = build_assay(spec)
-        flow = SynthesisFlow(
-            placer=SimulatedAnnealingPlacer(
-                params=params, core_width=core_w, core_height=core_h,
-                seed=unit.seed,
-            ),
-            max_concurrent_ops=config.max_concurrent,
-            max_parked=config.max_parked,
-            seed=unit.seed,
-            route=True,
-        )
-        result = flow.run(graph, explicit_binding=binding)
+        result = spec.run()
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
         return [_record(unit, s, "infeasible", error) for s in unit.scenarios]
@@ -532,7 +520,7 @@ def _run_unit(unit: Unit) -> list[CampaignRecord]:
     for scenario in unit.scenarios:
         suffix: CampaignScenario = scenario.params
         rng = ensure_rng(scenario.seed)
-        engine = OnlineRecoveryEngine(annealing=params if config.fast else None)
+        engine = OnlineRecoveryEngine(annealing=spec.recovery_annealing)
         controller = ClosedLoopController(engine=engine, sensor=suffix.sensor.sensor())
         try:
             if suffix.fault_model == "none":
@@ -696,7 +684,9 @@ class CampaignRunner:
             records, resumed = run_scenarios(
                 _run_unit,
                 (
-                    (sc.unit_key, (self.config, sc.spec, sc.array), sc.key, sc)
+                    (sc.unit_key,
+                     replace(self.config.synthesis, assay=sc.spec, array=sc.array),
+                     sc.key, sc)
                     for sc in scenarios
                 ),
                 seed=self.config.seed,

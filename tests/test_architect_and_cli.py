@@ -202,6 +202,27 @@ class TestBatchCommand:
         assert d["ok_count"] == 2
         assert json.loads(json.dumps(d)) == d
 
+    def test_bundled_record_ignores_generated_grid_mates(self, capsys):
+        # max_parked resolves per assay: sharing a grid with a gen:
+        # workload must not bound a bundled assay's schedule.
+        import json
+
+        timing = {"runtime_s", "stage_timings", "anneal_s", "proposals_per_s"}
+
+        def strip(node):
+            if isinstance(node, dict):
+                return {k: strip(v) for k, v in node.items() if k not in timing}
+            return node
+
+        def ivd_record(protocols):
+            main(["batch", "--protocols", protocols, "--faults", "none",
+                  "--seed", "7", "--fast", "--json"])
+            scenarios = json.loads(capsys.readouterr().out)["scenarios"]
+            (record,) = [s for s in scenarios if s["assay"] == "ivd"]
+            return strip(record)
+
+        assert ivd_record("ivd,gen:panel:n=8:seed=1") == ivd_record("ivd")
+
     def test_batch_rejects_unknown_protocol(self):
         with pytest.raises(SystemExit):
             main(["batch", "--protocols", "warp", "--fast"])

@@ -178,6 +178,23 @@ class TestRealUsageErrors:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [["flow"], ["portfolio", "--jobs", "2"]])
+    def test_non_finite_beta(self, capsys, command, beta):
+        # Rejected when the spec is built, before any anneal or worker.
+        code, _ = run_cli([*command, "--protocol", "pcr", "--beta", beta])
+        assert code == EXIT_USAGE
+        assert "beta must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan"])
+    def test_non_finite_task_timeout(self, capsys, timeout):
+        # Rejected when the pool is built, before any instance runs.
+        code, _ = run_cli(
+            ["portfolio", "--jobs", "2", "-n", "2", "--task-timeout", timeout]
+        )
+        assert code == EXIT_USAGE
+        assert "task_timeout must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("latency", ["inf", "nan"])
     def test_non_finite_sensor_latency(self, capsys, latency):
         # Rejected when the sensor is built, before any synthesis runs.

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
 from repro.fault.models import FAIL, FaultEvent
 from repro.geometry import Point
+from repro.pipeline import SynthesisSpec
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import (
@@ -228,12 +229,10 @@ class TestSweepClosedLoop:
         only wall-clock timings may differ."""
         def run(jobs: int):
             sweep = MonteCarloRecoverySweep(
+                SynthesisSpec(fast=True, seed=13),
                 assays=("pcr",),
                 time_fractions=(0.5,),
                 targets=("street", "pending-module"),
-                annealing=AnnealingParams.fast(),
-                recovery_annealing=AnnealingParams.fast(),
-                seed=13,
                 detection="closed-loop",
                 fault_model="permanent",
                 sensor_fpr=0.05,
@@ -258,12 +257,10 @@ class TestSweepClosedLoop:
 
     def test_rung_frequencies_cover_recovered_records(self):
         sweep = MonteCarloRecoverySweep(
+            SynthesisSpec(fast=True, seed=13),
             assays=("pcr",),
             time_fractions=(0.5,),
             targets=("street",),
-            annealing=AnnealingParams.fast(),
-            recovery_annealing=AnnealingParams.fast(),
-            seed=13,
             detection="closed-loop",
             fault_model="intermittent",
         )
@@ -274,6 +271,6 @@ class TestSweepClosedLoop:
 
     def test_invalid_axes_rejected(self):
         with pytest.raises(RecoveryError, match="fault model"):
-            MonteCarloRecoverySweep(assays=("pcr",), fault_model="meteor")
+            MonteCarloRecoverySweep(SynthesisSpec(), fault_model="meteor")
         with pytest.raises(RecoveryError, match="detection"):
-            MonteCarloRecoverySweep(assays=("pcr",), detection="telepathy")
+            MonteCarloRecoverySweep(SynthesisSpec(), detection="telepathy")

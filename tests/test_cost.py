@@ -112,8 +112,11 @@ class TestFaultAwareCost:
         assert cost(tolerant) < cost(fragile)
 
     def test_beta_validation(self):
-        with pytest.raises(ValueError):
-            FaultAwareCost(beta=-1.0)
+        # A non-finite beta would make every stage-2 proposal's cost
+        # nan or -inf, so the anneal would silently keep stage 1.
+        for beta in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="beta"):
+                FaultAwareCost(beta=beta)
 
     def test_fti_report_accessor(self):
         p = feasible_placement()

@@ -89,8 +89,11 @@ class TestValidation:
             SupervisedPool(jobs=0)
 
     def test_rejects_bad_timeout(self):
-        with pytest.raises(ValueError, match="task_timeout"):
-            SupervisedPool(task_timeout=0)
+        # inf overflows the executor's wait(); nan would clamp every
+        # wait to 0 and busy-poll without ever firing a deadline.
+        for timeout in (0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="task_timeout"):
+                SupervisedPool(task_timeout=timeout)
 
     def test_rejects_negative_retries(self):
         with pytest.raises(ValueError, match="max_retries"):

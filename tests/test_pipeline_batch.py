@@ -4,33 +4,24 @@ import json
 
 import pytest
 
-from repro.assay.protocols.dilution import build_serial_dilution_graph
-from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
-from repro.assay.synthetic import build_mix_tree
 from repro.geometry import Point
 from repro.pipeline import (
     BUILTIN_FAULT_PATTERNS,
     BatchScenarioRunner,
     FaultPattern,
+    SynthesisSpec,
 )
-from repro.placement.annealer import AnnealingParams
 from repro.util.errors import PipelineError
 
 
-def grid_runner(**kwargs):
+def grid_runner(route=True, verify=False, **kwargs):
     defaults = dict(
-        assays={
-            "pcr": (build_pcr_mixing_graph(), PCR_BINDING),
-            "dilution": (build_serial_dilution_graph(3), None),
-            "tree8": (build_mix_tree(8), None),
-        },
+        assays=("pcr", "dilution", "tree8"),
         fault_patterns=[FaultPattern.none(), FaultPattern.center()],
-        annealing=AnnealingParams.fast(),
-        route=True,
-        seed=7,
     )
     defaults.update(kwargs)
-    return BatchScenarioRunner(**defaults)
+    spec = SynthesisSpec(fast=True, route=route, verify=verify, seed=7)
+    return BatchScenarioRunner(spec, **defaults)
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +162,7 @@ class TestParallelDeterminism:
     def test_reordered_grid_reproduces_every_record(self, report):
         # Each combo's seed is derived from its own key, not its grid
         # position, so reversing the assays changes no record.
-        assays = grid_runner().assays
-        reordered = grid_runner(assays=dict(reversed(assays.items()))).run(jobs=1)
+        reordered = grid_runner(assays=("tree8", "dilution", "pcr")).run(jobs=1)
         assert reordered.records[0].assay == "tree8"
 
         def by_key(rep):
@@ -184,7 +174,7 @@ class TestParallelDeterminism:
 class TestValidation:
     def test_empty_assays_rejected(self):
         with pytest.raises(PipelineError, match="at least one assay"):
-            grid_runner(assays={})
+            grid_runner(assays=())
 
     def test_empty_patterns_rejected(self):
         with pytest.raises(PipelineError, match="at least one fault pattern"):
@@ -220,11 +210,7 @@ class TestValidation:
         assert report.ok_count == len(report.records) == 3
 
     def test_verify_only_sweep_exercises_faults(self):
-        runner = grid_runner(
-            assays={"pcr": (build_pcr_mixing_graph(), PCR_BINDING)},
-            route=False,
-            verify=True,
-        )
+        runner = grid_runner(assays=("pcr",), route=False, verify=True)
         report = runner.run(jobs=1)
         by_pattern = {r.fault_pattern: r for r in report.records}
         assert by_pattern["center"].result.sim_report is not None
@@ -249,13 +235,7 @@ def _stable(node):
 
 
 def small_runner(**kwargs):
-    return grid_runner(
-        assays={
-            "pcr": (build_pcr_mixing_graph(), PCR_BINDING),
-            "dilution": (build_serial_dilution_graph(3), None),
-        },
-        **kwargs,
-    )
+    return grid_runner(assays=("pcr", "dilution"), **kwargs)
 
 
 class TestStructuredFailures:

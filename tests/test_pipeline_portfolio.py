@@ -7,7 +7,7 @@ import pytest
 from repro.assay.protocols.pcr import PCR_BINDING, build_pcr_mixing_graph
 from repro.pipeline import (
     OBJECTIVES,
-    PortfolioSpec,
+    SynthesisSpec,
     instance_seeds,
     objective_value,
     run_portfolio,
@@ -20,12 +20,7 @@ from repro.util.rng import ensure_rng, spawn_rng, spawn_seed
 
 
 def fast_spec(**kwargs):
-    return PortfolioSpec(
-        graph=build_pcr_mixing_graph(),
-        explicit_binding=PCR_BINDING,
-        annealing=AnnealingParams.fast(),
-        **kwargs,
-    )
+    return SynthesisSpec(assay="pcr", fast=True, **kwargs)
 
 
 class TestSpawnedStreams:
@@ -55,7 +50,7 @@ class TestSpawnedStreams:
         seeds = instance_seeds(7, 6)
         assert seeds == instance_seeds(7, 6)
         assert len(set(seeds)) == 6
-        assert seeds[0] == 7  # instance 0 reuses the flow seed
+        assert seeds[0] == 7  # instance 0 reuses the portfolio seed
         # A longer portfolio extends, never reshuffles, the shorter one.
         assert instance_seeds(7, 3) == seeds[:3]
 
@@ -69,11 +64,11 @@ class TestSpawnedStreams:
 class TestPortfolioDeterminism:
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_portfolio(fast_spec(), n=3, seed=11, objective="area", jobs=1)
+        return run_portfolio(fast_spec(seed=11), n=3, objective="area", jobs=1)
 
     @pytest.fixture(scope="class")
     def parallel(self):
-        return run_portfolio(fast_spec(), n=3, seed=11, objective="area", jobs=2)
+        return run_portfolio(fast_spec(seed=11), n=3, objective="area", jobs=2)
 
     def test_identical_winner_regardless_of_worker_count(self, serial, parallel):
         assert serial.winner_index == parallel.winner_index
@@ -103,7 +98,7 @@ class TestPortfolioDeterminism:
         assert serial.winner.objective_value == best
 
     def test_repeat_run_is_bitwise_stable(self, serial):
-        again = run_portfolio(fast_spec(), n=3, seed=11, objective="area", jobs=1)
+        again = run_portfolio(fast_spec(seed=11), n=3, objective="area", jobs=1)
         assert [o.objective_value for o in again.outcomes] == [
             o.objective_value for o in serial.outcomes
         ]
@@ -121,7 +116,7 @@ class TestFacadeIdentity:
             ),
             seed=seed,
         ).run(build_pcr_mixing_graph(), explicit_binding=PCR_BINDING)
-        portfolio = run_portfolio(fast_spec(), n=1, seed=seed, jobs=1)
+        portfolio = run_portfolio(fast_spec(seed=seed), n=1, jobs=1)
         winner = portfolio.winner_result
         assert winner.area_cells == facade.area_cells
         assert winner.makespan == facade.makespan
@@ -137,32 +132,29 @@ class TestObjectives:
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(PipelineError, match="unknown objective"):
-            run_portfolio(fast_spec(), n=1, seed=1, objective="beauty")
+            run_portfolio(fast_spec(seed=1), n=1, objective="beauty")
 
     def test_missing_metric_rejected(self):
         # route-steps without the routing stage is a configuration error.
-        result = fast_spec(route=False).run_instance(seed=1)
+        result = fast_spec(route=False, seed=1).run()
         with pytest.raises(PipelineError, match="undefined"):
             objective_value(result, "route-steps")
 
     def test_unproducible_objective_fails_before_any_instance_runs(self):
         # The mismatch must surface in milliseconds, not after N runs.
         with pytest.raises(PipelineError, match="route=True"):
-            run_portfolio(fast_spec(route=False), n=8, seed=1,
+            run_portfolio(fast_spec(route=False, seed=1), n=8,
                           objective="route-steps")
-        with pytest.raises(PipelineError, match="compute_fti_report"):
-            run_portfolio(fast_spec(compute_fti_report=False), n=8, seed=1,
-                          objective="fti")
 
     def test_fti_objective_maximizes(self):
-        portfolio = run_portfolio(fast_spec(), n=3, seed=11, objective="fti", jobs=1)
+        portfolio = run_portfolio(fast_spec(seed=11), n=3, objective="fti", jobs=1)
         best = max(o.objective_value for o in portfolio.outcomes)
         assert portfolio.winner.objective_value == best
 
     def test_to_dict_is_json_safe(self):
         import json
 
-        portfolio = run_portfolio(fast_spec(), n=2, seed=5, jobs=1)
+        portfolio = run_portfolio(fast_spec(seed=5), n=2, jobs=1)
         d = portfolio.to_dict()
         assert json.loads(json.dumps(d)) == d
         assert d["winner_index"] == portfolio.winner_index
@@ -170,7 +162,7 @@ class TestObjectives:
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
-            run_portfolio(fast_spec(), n=2, seed=5, jobs=0)
+            run_portfolio(fast_spec(seed=5), n=2, jobs=0)
 
 
 class TestSupervisedFailures:
@@ -180,7 +172,7 @@ class TestSupervisedFailures:
 
         chaos = ChaosPolicy.explicit_plan({(0, 0): "unpicklable"})
         portfolio = run_portfolio(
-            fast_spec(), n=2, seed=11, jobs=2, max_retries=0, chaos=chaos
+            fast_spec(seed=11), n=2, jobs=2, max_retries=0, chaos=chaos
         )
         assert len(portfolio.failures) == 1
         failure = portfolio.failures[0]
@@ -195,10 +187,10 @@ class TestSupervisedFailures:
     def test_retried_instance_keeps_the_portfolio_bit_identical(self):
         from repro.testing.chaos import ChaosPolicy
 
-        clean = run_portfolio(fast_spec(), n=2, seed=11, jobs=2)
+        clean = run_portfolio(fast_spec(seed=11), n=2, jobs=2)
         chaos = ChaosPolicy.explicit_plan({(1, 0): "unpicklable"})
         stormy = run_portfolio(
-            fast_spec(), n=2, seed=11, jobs=2, max_retries=2, chaos=chaos
+            fast_spec(seed=11), n=2, jobs=2, max_retries=2, chaos=chaos
         )
         assert not stormy.failures
         assert stormy.winner_index == clean.winner_index
@@ -215,5 +207,5 @@ class TestSupervisedFailures:
         )
         with pytest.raises(WorkerCrashError, match="all 2 portfolio instances"):
             run_portfolio(
-                fast_spec(), n=2, seed=11, jobs=2, max_retries=0, chaos=chaos
+                fast_spec(seed=11), n=2, jobs=2, max_retries=0, chaos=chaos
             )

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assay.catalog import build_assay
+from repro.pipeline import SynthesisSpec
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import MonteCarloRecoverySweep
@@ -284,12 +285,10 @@ def _stable(report_dict: dict) -> dict:
 def test_sweep_results_identical_across_jobs():
     def run(jobs: int) -> dict:
         sweep = MonteCarloRecoverySweep(
+            SynthesisSpec(fast=True, seed=11),
             assays=("pcr", "dilution"),
             time_fractions=(0.5,),
             targets=("pending-module",),
-            annealing=AnnealingParams.fast(),
-            recovery_annealing=AnnealingParams.fast(),
-            seed=11,
         )
         return sweep.run(jobs=jobs).to_dict()
 
@@ -303,12 +302,10 @@ def test_sweep_results_identical_across_jobs():
 
 def small_sweep(assays=("pcr",)):
     return MonteCarloRecoverySweep(
+        SynthesisSpec(fast=True, seed=11),
         assays=assays,
         time_fractions=(0.5,),
         targets=("pending-module", "street"),
-        annealing=AnnealingParams.fast(),
-        recovery_annealing=AnnealingParams.fast(),
-        seed=11,
     )
 
 
@@ -368,12 +365,10 @@ def test_sweep_reordered_grid_reproduces_every_record():
     # the first of its assay's block.
     def by_key(fractions):
         sweep = MonteCarloRecoverySweep(
+            SynthesisSpec(fast=True, seed=11),
             assays=("pcr",),
             time_fractions=fractions,
             targets=("pending-module", "street"),
-            annealing=AnnealingParams.fast(),
-            recovery_annealing=AnnealingParams.fast(),
-            seed=11,
         )
         return {
             r.key: {
@@ -393,12 +388,13 @@ def test_sweep_rejects_duplicate_scenario_keys():
     # a resume could not reproduce the run.
     with pytest.raises(RecoveryError, match=r"duplicate .*'pcr\|0.5\|street'"):
         MonteCarloRecoverySweep(
+            SynthesisSpec(),
             assays=("pcr",), time_fractions=(0.5, 0.5), targets=("street",)
         )
 
 
 def test_sweep_failed_nominal_synthesis_is_infeasible(monkeypatch):
-    import repro.recovery.sweep as sweep_module
+    import repro.pipeline.spec as spec_module
     from repro.util.errors import PlacementError
 
     class Unplaceable:
@@ -406,7 +402,7 @@ def test_sweep_failed_nominal_synthesis_is_infeasible(monkeypatch):
             raise PlacementError("no room on the array")
 
     monkeypatch.setattr(
-        sweep_module, "build_default_pipeline", lambda **kwargs: Unplaceable()
+        spec_module, "build_default_pipeline", lambda **kwargs: Unplaceable()
     )
     report = small_sweep().run(jobs=1)
     assert [r.status for r in report.records] == ["infeasible", "infeasible"]

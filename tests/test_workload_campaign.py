@@ -48,6 +48,17 @@ class TestConfigParsing:
         scenarios = cfg.expand()
         assert [s.key for s in scenarios] == ["pcr|auto|none|ideal|event"]
 
+    def test_synthesis_keys_parse_into_one_spec(self):
+        # An absent max_parked resolves per assay in the spec, as on
+        # every other entry point.
+        from repro.pipeline import SynthesisSpec
+
+        data = {**TINY, "campaign": {"max_concurrent": 2, "fast": False}}
+        cfg = CampaignConfig.from_dict(data, source="inline")
+        assert cfg.synthesis == SynthesisSpec(
+            fast=False, max_concurrent=2, route=True
+        )
+
     def test_load_json(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(TINY))

@@ -14,7 +14,9 @@ that rewrite:
    reference by >= the speedup bar (4x; relaxed to 2x under
    ``REPRO_BENCH_FAST=1`` for noisy shared runners).
 3. **Sweep speedup.** The simulation work of a Monte-Carlo recovery
-   grid — checkpoint + resume per scenario — must clear the same bar:
+   grid — checkpoint + resume per scenario — must clear the same bar
+   (the end-to-end wall of a one-scenario recovery campaign is recorded
+   alongside):
    the event engine checkpoints by log truncation where the stepped
    reference replays.
 
@@ -30,14 +32,13 @@ import time
 import pytest
 
 from repro.assay.catalog import BUNDLED_ASSAYS, build_assay
-from repro.pipeline import SynthesisSpec
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.recovery.sweep import MonteCarloRecoverySweep
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
 from repro.util.errors import SimulationError
 from repro.util.tables import format_table
+from repro.workload.campaign import CampaignConfig, CampaignRunner
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "").lower() in ("1", "true", "yes")
 #: Parity is a correctness gate — every bundled assay, in both modes.
@@ -222,9 +223,10 @@ def _checkpoint_grid(sim: BiochipSimulator) -> list[tuple[list, float]]:
     return grid
 
 
-def test_monte_carlo_sweep_sim_speedup(report, bench_json):
+def test_monte_carlo_sweep_sim_speedup(report, bench_json, tmp_path):
     """The sim work of a recovery sweep — checkpoint + resume per
-    scenario — under both engines, plus the end-to-end sweep wall."""
+    scenario — under both engines, plus the end-to-end wall of a
+    one-scenario recovery campaign."""
     assays = ("pcr",) if FAST else ("pcr", "dilution", "ivd")
     rows = []
     total_event = total_stepped = 0.0
@@ -269,14 +271,13 @@ def test_monte_carlo_sweep_sim_speedup(report, bench_json):
         }
     speedup = total_stepped / total_event
 
-    sweep = MonteCarloRecoverySweep(
-        SynthesisSpec(fast=True, seed=SEED),
-        assays=("pcr",),
-        time_fractions=(0.5,),
-        targets=("pending-module",),
-    )
+    campaign = CampaignConfig.from_dict({
+        "campaign": {"name": "sweep", "seed": SEED},
+        "grid": [{"generators": ["pcr"], "fault_models": ["permanent"],
+                  "arrivals": ["0.5"]}],
+    })
     t0 = time.perf_counter()
-    sweep_report = sweep.run()
+    sweep_report = CampaignRunner(campaign).run(tmp_path / "sweep.jsonl")
     sweep_wall = time.perf_counter() - t0
     assert sweep_report.records
 

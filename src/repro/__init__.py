@@ -57,10 +57,8 @@ from repro.pipeline import (
     run_portfolio,
 )
 from repro.recovery import (
-    MonteCarloRecoverySweep,
     OnlineRecoveryEngine,
     RecoveryOutcome,
-    RecoverySweepReport,
     SimCheckpoint,
 )
 from repro.placement.annealer import AnnealingParams, SimulatedAnnealing
@@ -126,7 +124,6 @@ __all__ = [
     "ModuleKind",
     "ModuleLibrary",
     "ModuleSpec",
-    "MonteCarloRecoverySweep",
     "CrossCheckTimeGrid",
     "Net",
     "OnlineRecoveryEngine",
@@ -150,7 +147,6 @@ __all__ = [
     "ReconfigurationPlan",
     "RecoveryOutcome",
     "RecoveryStage",
-    "RecoverySweepReport",
     "Rect",
     "ReproError",
     "ResourceBinder",

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Ten commands cover the library's day-to-day uses without writing code:
+Eleven commands cover the library's day-to-day uses without writing code:
 
 * ``flow`` — synthesize a built-in protocol end to end and print the
   schedule, placement, and FTI analysis.
@@ -18,7 +18,10 @@ Ten commands cover the library's day-to-day uses without writing code:
   the staged pipeline; ``--json`` emits the machine-readable report.
 * ``recover`` — inject a mid-assay fault and recover online: checkpoint
   the live state, re-place the pending modules, re-route the suffix,
-  resume; ``--sweep`` fans the Monte-Carlo recovery grid instead.
+  resume.
+* ``campaign`` — run a declarative scenario grid (generators x arrays
+  x fault models x sensors x fault arrivals x fault targets) to a JSONL
+  log; the Monte-Carlo recovery grid is one such config.
 * ``sweep`` — the Table 2 beta sweep.
 * ``experiments`` — the full paper-vs-measured report.
 * ``explore`` — architectural design-space exploration (binding
@@ -35,10 +38,10 @@ Exit codes are distinct and scriptable:
   retry budget.
 * ``5`` — a worker process crashed and the retry budget is exhausted.
 
-Parallel commands (``portfolio``, ``batch``, ``recover``) run on the
+Parallel commands (``portfolio``, ``batch``, ``campaign``) run on the
 supervised execution layer (:mod:`repro.exec`): ``--task-timeout`` and
-``--max-retries`` bound each task, and ``batch``/``recover --sweep``
-support crash-safe ``--journal`` files and ``--resume``.
+``--max-retries`` bound each task, and ``batch``/``campaign`` support
+crash-safe ``--journal`` files and ``--resume``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from repro.assay.catalog import BUNDLED_ASSAYS as PROTOCOLS
 from repro.assay.catalog import build_assay
 from repro.exec import (
     STATUS_CRASHED,
-    STATUS_INFEASIBLE,
     STATUS_OK,
     STATUS_RETRIED_OK,
     STATUS_TIMEOUT,
@@ -465,7 +467,7 @@ def _recovery_timeline(outcome) -> str:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    from repro.recovery import MonteCarloRecoverySweep, OnlineRecoveryEngine
+    from repro.recovery import OnlineRecoveryEngine
     from repro.recovery.engine import FAULT_TARGETS, pick_fault_cell
 
     protocols = sorted(PROTOCOLS) if args.protocol == "all" else [args.protocol]
@@ -477,11 +479,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
     # is pending, so "recovery" would succeed vacuously (validated
     # inside _paired_faults).
     pairs = _paired_faults(args)
-    if not args.sweep and (args.journal or args.resume):
-        raise UsageError(
-            "--journal/--resume journal the Monte-Carlo grid and "
-            "need --sweep"
-        )
     if (
         args.sensor_fpr or args.sensor_fnr or args.sensor_latency
     ) and not args.closed_loop:
@@ -492,50 +489,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
         )
 
     spec = _spec(args, assay=protocols[0], route=True)
-    if args.sweep:
-        if args.cell:
-            raise UsageError(
-                "--cell pins explicit faults; it cannot be "
-                "combined with --sweep (use --target/--fault-time to "
-                "narrow the grid instead)"
-            )
-        sweep = MonteCarloRecoverySweep(
-            spec,
-            assays=protocols,
-            time_fractions=(
-                tuple(f for f, _ in pairs) if pairs else (0.25, 0.5, 0.75)
-            ),
-            targets=(
-                (args.target,) if args.target is not None
-                else ("pending-module", "street")
-            ),
-            fault_model=args.fault_model,
-            detection="closed-loop" if args.closed_loop else "oracle",
-            sensor_fpr=args.sensor_fpr,
-            sensor_fnr=args.sensor_fnr,
-            sensor_latency_s=args.sensor_latency,
-        )
-        report = sweep.run(
-            jobs=args.jobs,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            journal_path=args.journal,
-            resume_from=args.resume,
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.table_text())
-            print()
-            print(report.summary())
-        # An unrecovered scenario the engine *decided* counts as
-        # infeasible; lost-worker statuses pass through unchanged.
-        return _exit_code(
-            STATUS_INFEASIBLE if not r.recovered and r.status == STATUS_OK
-            else r.status
-            for r in report.records
-        )
-
     target = args.target if args.target is not None else "pending-module"
     engine = OnlineRecoveryEngine(annealing=spec.recovery_annealing)
     specs = [replace(spec, assay=name) for name in protocols]
@@ -938,13 +891,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FRACTION",
         help="fault arrival as a fraction of the nominal makespan [0, 1) "
              "(default 0.5; repeatable, pairing up one-to-one with repeated "
-             "--cell; with --sweep, narrows the arrival grid)",
+             "--cell)",
     )
     recover.add_argument(
         "--target", type=str, default=None,
         help="fault-cell kind: pending-module, in-flight-module, center, "
-             "street (default pending-module; with --sweep, narrows the "
-             "pattern grid)",
+             "street (default pending-module)",
     )
     recover.add_argument(
         "--cell", action="append", nargs=2, type=int, metavar=("X", "Y"),
@@ -977,21 +929,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--sensor-latency", type=float, default=0.0, metavar="SECONDS",
         help="sensor readout latency per probe step (needs --closed-loop)",
     )
-    recover.add_argument(
-        "--sweep", action="store_true",
-        help="run the Monte-Carlo recovery sweep "
-             "(assay x fault-arrival x fault-pattern) instead of one demo fault",
-    )
     _add_synthesis_args(recover, protocol=False)
-    recover.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for --sweep (1 = serial)",
-    )
     recover.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable report as JSON",
     )
-    _add_supervision_args(recover, journal=True)
     recover.set_defaults(func=cmd_recover)
 
     sweep = sub.add_parser("sweep", help="Table 2 beta sweep")

@@ -1,8 +1,7 @@
 """Supervised parallel execution for synthesis campaigns.
 
 ``repro.exec`` is the hardened substrate the portfolio executor and the
-three scenario runners (batch grid, Monte-Carlo recovery sweep,
-campaign) all run on:
+two scenario runners (batch grid, campaign) all run on:
 
 * :class:`~repro.exec.supervised.SupervisedPool` — a
   ``ProcessPoolExecutor`` wrapper with per-task deadlines (a watchdog
@@ -18,7 +17,7 @@ campaign) all run on:
   makes scenario grids ``kill -9``-safe: resuming from a journal skips
   already-journaled scenario keys.
 * :func:`~repro.exec.scenarios.run_scenarios` — the one scenario
-  executor behind all three runners: groups a grid into units that
+  executor behind both runners: groups a grid into units that
   share a synthesis, derives every seed from a content key, skips
   journaled scenarios, fans the rest out on the pool, journals decided
   records and turns lost units into keyed failure records.

@@ -1,7 +1,7 @@
 """Crash-safe JSONL campaign journaling (6tisch ``SimLog`` style).
 
-A scenario grid (batch grid, Monte-Carlo recovery sweep, campaign —
-all run by :func:`repro.exec.scenarios.run_scenarios`) appends one
+A scenario grid (batch grid or campaign, both run by
+:func:`repro.exec.scenarios.run_scenarios`) appends one
 JSON line per *completed* scenario — ``write``, ``flush``, ``fsync`` —
 so a ``kill -9``, OOM kill, or power cut loses at most the line being
 written, never a completed result. Resuming loads the journal, skips
@@ -16,7 +16,7 @@ Record schema (one JSON object per line)::
      "record": {<the scenario's to_dict()>}}
 
 ``kind`` namespaces producers sharing a file (``batch-scenario-v2``,
-``recovery-scenario-v2``, ``campaign-scenario``); a producer changes
+``campaign-scenario``); a producer changes
 its kind when its records change meaning, so older lines are ignored
 and recomputed. ``key`` is the producer's stable scenario identity
 (e.g. ``pcr|auto|center``). A truncated *final* line is the

@@ -1,10 +1,10 @@
 """One executor for journaled, content-seeded scenario grids.
 
-The batch runner, the Monte-Carlo recovery sweep and the campaign
-runner all execute the same shape of work: a grid of scenarios grouped
-into *units* that share one expensive prefix (a synthesis), fanned out
-on a :class:`~repro.exec.supervised.SupervisedPool`, journaled as they
-are decided, and resumable after a crash. :func:`run_scenarios` owns
+The batch runner and the campaign runner execute the same shape of
+work: a grid of scenarios grouped into *units* that share one expensive
+prefix (a synthesis), fanned out on a
+:class:`~repro.exec.supervised.SupervisedPool`, journaled as they are
+decided, and resumable after a crash. :func:`run_scenarios` owns
 that loop and the seed scheme; each runner supplies its grid cells, a
 worker function and its record types.
 

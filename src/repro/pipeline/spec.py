@@ -2,7 +2,7 @@
 
 The paper's flow — bind, schedule, fault-aware SA placement (-> route
 -> droplet replay) — runs from the CLI commands, from each portfolio
-instance, and from each batch, sweep and campaign unit. All of them
+instance, and from each batch and campaign unit. All of them
 describe it with the same few choices, so the spec names those choices
 once, resolves their defaults in one place, and builds the pipeline
 through :func:`~repro.pipeline.pipeline.build_default_pipeline`. It
@@ -24,6 +24,7 @@ from repro.placement.cost import FaultAwareCost
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.placement.two_stage import TwoStagePlacer
 from repro.synthesis.flow import SynthesisResult
+from repro.util.errors import UsageError
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,10 @@ class SynthesisSpec:
         check_assay(self.assay)
         if self.beta is not None:
             FaultAwareCost(beta=self.beta)
+        for name in ("max_concurrent", "max_parked"):
+            bound = getattr(self, name)
+            if bound is not None and bound < 1:
+                raise UsageError(f"{name} must be >= 1, got {bound}")
 
     @property
     def annealing(self) -> AnnealingParams:

@@ -263,8 +263,8 @@ class IncrementalCostEvaluator:
     ) -> bool:
         """True when *warm*'s schedule-fixed structures apply verbatim:
         identical op set, module specs (by identity), time spans, and
-        pitch. Placements that differ only in module positions — the
-        recovery sweep's per-scenario layouts — qualify."""
+        pitch. Placements that differ only in module positions — a
+        recovery campaign's per-scenario layouts — qualify."""
         if warm._pitch2 != placement.pitch_mm * placement.pitch_mm:
             return False
         if len(warm._specs) != len(placement):

@@ -1,6 +1,6 @@
 """Online fault recovery: mid-assay checkpointing, incremental
-re-synthesis of the not-yet-started suffix, and Monte-Carlo recovery
-sweeps.
+re-synthesis of the not-yet-started suffix, and detection-driven
+closed-loop control.
 
 This package composes the prior subsystems into the paper's actual
 story — a chip that keeps executing after a cell dies mid-run:
@@ -16,11 +16,11 @@ story — a chip that keeps executing after a cell dies mid-run:
   (:mod:`repro.testing`), confirmed detections climb the rung ladder,
   missed faults fall to the stuck-droplet watchdog, and an ``oracle``
   mode keeps the perfect-knowledge reference path.
-* :class:`MonteCarloRecoverySweep` — fan (assay x fault-arrival x
-  fault-pattern) scenarios over worker processes and report
-  recovery-success rate, makespan penalty, and re-synthesis latency.
 * :class:`~repro.sim.engine.SimCheckpoint` — the simulator-level live
   snapshot (re-exported from :mod:`repro.sim.engine`).
+
+Recovery scenario grids (assay x fault arrival x fault target) run as
+campaigns (:mod:`repro.workload.campaign`).
 """
 
 from repro.recovery.closedloop import (
@@ -38,11 +38,6 @@ from repro.recovery.engine import (
     RecoveryOutcome,
     pick_fault_cell,
 )
-from repro.recovery.sweep import (
-    MonteCarloRecoverySweep,
-    RecoveryRecord,
-    RecoverySweepReport,
-)
 from repro.sim.engine import SimCheckpoint
 
 __all__ = [
@@ -54,11 +49,8 @@ __all__ = [
     "Detection",
     "FaultAvoidanceCost",
     "LadderStep",
-    "MonteCarloRecoverySweep",
     "OnlineRecoveryEngine",
     "RecoveryOutcome",
-    "RecoveryRecord",
-    "RecoverySweepReport",
     "SimCheckpoint",
     "pick_fault_cell",
 ]

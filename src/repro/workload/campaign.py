@@ -1,11 +1,14 @@
 """Declarative campaign sweeps: one config, one structured JSONL log.
 
 A campaign config (TOML or JSON) declares a grid of
-(generator specs x array sizes x fault models x sensor fidelities).
-:class:`CampaignConfig` expands it — purely
-deterministically — into seeded :class:`CampaignScenario`\\ s, and
-:class:`CampaignRunner` fans them out on the supervised pool with the
-same journal/resume crash-safety the batch runner uses.
+(generator specs x array sizes x fault models x sensor fidelities x
+fault arrivals x fault targets). :class:`CampaignConfig` expands it —
+purely deterministically — into seeded :class:`CampaignScenario`\\ s,
+and :class:`CampaignRunner` fans them out on the supervised pool with
+the same journal/resume crash-safety the batch runner uses. It is the
+one runner for online recovery: the Monte-Carlo recovery grid
+(assays x arrival fractions x fault targets) is a campaign config,
+``examples/campaigns/recovery-sweep.toml``.
 
 The product is an append-only JSONL log with a versioned record
 schema: one ``campaign-meta`` line, then exactly one ``campaign-record``
@@ -23,18 +26,19 @@ Seed-derivation contract (the reason records are jobs-invariant), with
   where the unit key is ``spec|array`` — shared by every scenario of
   that unit, so one synthesized prefix serves all its fault suffixes;
 * scenario seed    = ``derive_seed(campaign_seed, "scenario", scenario key)``
-  — drives fault placement, fault-process realization, and sensor
-  noise, independent of expansion order, worker assignment, or which
-  scenarios a resume skips.
+  — drives fault arrival, fault placement, fault-process realization,
+  and sensor noise, independent of expansion order, worker assignment,
+  or which scenarios a resume skips.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 from repro.exec import STATUS_OK, STATUS_RETRIED_OK
@@ -67,6 +71,12 @@ CAMPAIGN_JOURNAL_KIND = "campaign-scenario"
 #: supervision telemetry (they vary under injected chaos), not scenario
 #: results, and the log must stay byte-identical across schedules.
 RECORD_STATUSES = ("ok", "infeasible", "timeout", "crashed")
+
+#: Default of the ``arrivals`` axis: the fault arrives at a fraction of
+#: the nominal makespan drawn from U(0.3, 0.7) with the scenario seed.
+RANDOM_ARRIVAL = "random"
+#: Default of the ``targets`` axis (a ``FAULT_TARGETS`` name).
+DEFAULT_TARGET = "pending-module"
 
 
 # -- config ------------------------------------------------------------------
@@ -146,6 +156,23 @@ def array_key(array: tuple[int, int] | None) -> str:
     return "auto" if array is None else f"{array[0]}x{array[1]}"
 
 
+def parse_arrival(raw: str) -> str:
+    """``"random"`` or a fraction in [0, 1), canonicalized with ``%g``
+    (so ``"0.5"`` and ``"0.50"`` are the same arrival)."""
+    if raw == RANDOM_ARRIVAL:
+        return raw
+    try:
+        fraction = float(raw)
+    except ValueError:
+        fraction = -1.0  # rejected below
+    if not 0.0 <= fraction < 1.0:
+        raise UsageError(
+            f"bad arrival {raw!r}: expected 'random' or a fraction of the "
+            "nominal makespan in [0, 1)"
+        )
+    return f"{abs(fraction):g}"  # abs: "-0" is arrival 0
+
+
 def parse_array(raw: str) -> tuple[int, int] | None:
     """``"auto"`` or ``"WxH"`` with positive integer dimensions."""
     if raw == "auto":
@@ -173,14 +200,22 @@ class CampaignScenario:
     fault_model: str  # "none" or a FAULT_MODELS name
     sensor: SensorSpec
     index: int  # position in grid order (== log order)
+    #: Canonical arrival and fault target; both ``None`` when the fault
+    #: model is ``none``.
+    arrival: str | None = None
+    target: str | None = None
 
     @property
     def key(self) -> str:
-        """The scenario's stable journal/log/seed identity."""
-        return "|".join(
-            (self.spec, array_key(self.array), self.fault_model,
-             self.sensor.key, RECORD_ENGINE)
-        )
+        """The scenario's stable journal/log/seed identity. An axis at
+        its default adds nothing, so keys predating it are unchanged."""
+        parts = [self.spec, array_key(self.array), self.fault_model,
+                 self.sensor.key, RECORD_ENGINE]
+        if self.arrival not in (None, RANDOM_ARRIVAL):
+            parts.append(f"arrival={self.arrival}")
+        if self.target not in (None, DEFAULT_TARGET):
+            parts.append(f"target={self.target}")
+        return "|".join(parts)
 
     @property
     def unit_key(self) -> str:
@@ -294,6 +329,7 @@ class CampaignConfig:
         """The full deterministic scenario list, in grid order."""
         from repro.assay.catalog import BUNDLED_ASSAYS, is_generator_spec
         from repro.fault.models import FAULT_MODELS
+        from repro.recovery.engine import FAULT_TARGETS
         from repro.workload.generator import GeneratorSpec
 
         scenarios: list[CampaignScenario] = []
@@ -326,26 +362,46 @@ class CampaignConfig:
                 SensorSpec.parse(s)
                 for s in _str_list(grid, "sensors", where, ["ideal"])
             ]
-            unknown = set(grid) - {"generators", "arrays", "fault_models", "sensors"}
+            arrivals = [
+                parse_arrival(a)
+                for a in _str_list(grid, "arrivals", where, [RANDOM_ARRIVAL])
+            ]
+            targets = _str_list(grid, "targets", where, [DEFAULT_TARGET])
+            for t in targets:
+                if t not in FAULT_TARGETS:
+                    raise UsageError(
+                        f"{where}: unknown fault target {t!r}; choose from "
+                        f"{list(FAULT_TARGETS)}"
+                    )
+            unknown = set(grid) - {
+                "generators", "arrays", "fault_models", "sensors", "arrivals",
+                "targets",
+            }
             if unknown:
                 raise UsageError(
                     f"{where}: unknown key(s) {sorted(unknown)}"
                 )
-            for spec in specs:
-                for array in arrays:
-                    for model in models:
-                        for sensor in sensors:
-                            sc = CampaignScenario(
-                                spec=spec, array=array, fault_model=model,
-                                sensor=sensor, index=len(scenarios),
-                            )
-                            if sc.key in seen:
-                                raise UsageError(
-                                    f"{where}: scenario {sc.key!r} already "
-                                    f"declared by [[grid]] #{seen[sc.key] + 1}"
-                                )
-                            seen[sc.key] = i
-                            scenarios.append(sc)
+            for spec, array, model, sensor in itertools.product(
+                specs, arrays, models, sensors
+            ):
+                # A fault-free scenario has no arrival or target.
+                faults = (
+                    [(None, None)] if model == "none"
+                    else itertools.product(arrivals, targets)
+                )
+                for arrival, target in faults:
+                    sc = CampaignScenario(
+                        spec=spec, array=array, fault_model=model,
+                        sensor=sensor, index=len(scenarios),
+                        arrival=arrival, target=target,
+                    )
+                    if sc.key in seen:
+                        raise UsageError(
+                            f"{where}: scenario {sc.key!r} already "
+                            f"declared by [[grid]] #{seen[sc.key] + 1}"
+                        )
+                    seen[sc.key] = i
+                    scenarios.append(sc)
         return scenarios
 
 
@@ -372,6 +428,9 @@ class CampaignRecord:
     synthesis: dict | None = None
     #: Closed-loop execution metrics (None when the scenario never ran).
     recovery: dict | None = None
+    #: Canonical arrival and fault target (None for fault model none).
+    arrival: str | None = None
+    target: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -391,17 +450,13 @@ class CampaignRecord:
             "error": self.error,
             "synthesis": self.synthesis,
             "recovery": self.recovery,
+            "arrival": self.arrival,
+            "target": self.target,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> CampaignRecord:
-        return cls(**{
-            f: data.get(f) for f in (
-                "key", "index", "spec", "family", "n", "array", "fault_model",
-                "sensor", "engine", "seed", "status", "error", "synthesis",
-                "recovery",
-            )
-        })
+        return cls(**{f.name: data.get(f.name) for f in fields(cls)})
 
     @property
     def ok(self) -> bool:
@@ -428,6 +483,19 @@ _RECORD_FIELD_TYPES: dict[str, tuple[type, ...]] = {
     "error": (str, type(None)),
     "synthesis": (dict, type(None)),
     "recovery": (dict, type(None)),
+}
+#: Fields added within v1, type-checked only when present so that
+#: older logs stay valid.
+_ADDED_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "arrival": (str, type(None)),
+    "target": (str, type(None)),
+}
+_ADDED_RECOVERY_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "fault_time_s": (float, int, type(None)),
+    "fault_cells": (list,),
+    "rerouted_nets": (int,),
+    "reused_epochs": (int,),
+    "detection_latency_s": (float, int, type(None)),
 }
 
 
@@ -462,7 +530,11 @@ def _synthesis_summary(result: SynthesisResult) -> dict:
     }
 
 
-def _recovery_summary(outcome) -> dict:
+def _recovery_summary(outcome, fault_time: float | None) -> dict:
+    from repro.fault.models import FAIL
+
+    latencies = outcome.detection_latencies
+    cells = {e.cell for e in outcome.fault_events if e.kind == FAIL}
     return {
         "completed": outcome.completed,
         "aborted": outcome.aborted,
@@ -476,6 +548,15 @@ def _recovery_summary(outcome) -> dict:
         "nominal_makespan_s": outcome.nominal_makespan_s,
         "realized_makespan_s": outcome.realized_makespan_s,
         "makespan_penalty_s": outcome.makespan_penalty_s,
+        "fault_time_s": fault_time,
+        "fault_cells": [[c.x, c.y] for c in sorted(cells)],
+        "rerouted_nets": sum(r.rerouted_nets for r in outcome.recoveries),
+        "reused_epochs": (
+            outcome.recoveries[-1].reused_epochs if outcome.recoveries else 0
+        ),
+        "detection_latency_s": (
+            sum(latencies) / len(latencies) if latencies else None
+        ),
     }
 
 
@@ -493,7 +574,8 @@ def _record(
         key=sc.key, index=sc.index, spec=sc.spec, family=family, n=n,
         array=array_key(sc.array), fault_model=sc.fault_model,
         sensor=sc.sensor.to_dict(), engine=RECORD_ENGINE, seed=scenario.seed,
-        status=status, error=error, **payload,
+        status=status, error=error, arrival=sc.arrival, target=sc.target,
+        **payload,
     )
 
 
@@ -516,21 +598,25 @@ def _run_unit(unit: Unit) -> list[CampaignRecord]:
     makespan = result.schedule.makespan
     width, height = result.placement_result.placement.array_dims()
 
+    # One engine per unit: its nominal-simulator and warm-evaluator
+    # caches serve every scenario of the shared synthesis.
+    engine = OnlineRecoveryEngine(annealing=spec.recovery_annealing)
     records = []
     for scenario in unit.scenarios:
         suffix: CampaignScenario = scenario.params
         rng = ensure_rng(scenario.seed)
-        engine = OnlineRecoveryEngine(annealing=spec.recovery_annealing)
         controller = ClosedLoopController(engine=engine, sensor=suffix.sensor.sensor())
         try:
             if suffix.fault_model == "none":
-                events: tuple = ()
+                fault_time, events = None, ()
             else:
-                fault_time = rng.uniform(0.3, 0.7) * makespan
-                checkpoint = engine.checkpoint_of(result, fault_time)
-                cell = pick_fault_cell(
-                    result, checkpoint, "pending-module", rng=rng
+                fraction = (
+                    rng.uniform(0.3, 0.7) if suffix.arrival == RANDOM_ARRIVAL
+                    else float(suffix.arrival)
                 )
+                fault_time = fraction * makespan
+                checkpoint = engine.checkpoint_of(result, fault_time)
+                cell = pick_fault_cell(result, checkpoint, suffix.target, rng=rng)
                 events = scenario_events(
                     suffix.fault_model, cell, fault_time, makespan,
                     width, height, rng,
@@ -546,7 +632,7 @@ def _run_unit(unit: Unit) -> list[CampaignRecord]:
             continue
         records.append(_record(
             unit, scenario, "ok", synthesis=synthesis,
-            recovery=_recovery_summary(outcome),
+            recovery=_recovery_summary(outcome, fault_time),
         ))
     return records
 
@@ -640,6 +726,13 @@ class CampaignReport:
         )
 
 
+def _same_file(a: str | os.PathLike, b: str | os.PathLike) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 class CampaignRunner:
     """Expand a config and execute it under supervision."""
 
@@ -664,10 +757,18 @@ class CampaignRunner:
         infeasible) is journaled as its unit finishes; a resume skips
         decided scenarios and re-runs crashed/timed-out ones. The log
         file itself is rewritten from scratch each run — it is the
-        deterministic product, the journal is the incremental state.
+        deterministic product, the journal is the incremental state —
+        so the log may not be the journal file: opening it would
+        truncate the journal before the resume reads it.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        for journal in (journal_path, resume_from):
+            if journal is not None and _same_file(log_path, journal):
+                raise UsageError(
+                    f"the log {os.fspath(log_path)} is also the journal; "
+                    "give --log a file of its own"
+                )
         t0 = time.perf_counter()
         scenarios = self.config.expand()
         meta = {
@@ -743,6 +844,22 @@ def read_log(path: str | os.PathLike) -> tuple[dict, list[CampaignRecord]]:
     return meta, records
 
 
+def _type_errors(
+    lineno: int, entry: dict, types: dict[str, tuple[type, ...]], prefix: str = ""
+) -> list[str]:
+    """Problems with the declared types of *entry*'s present fields."""
+    return [
+        f"line {lineno}: field {prefix + fname!r} has "
+        f"{type(entry[fname]).__name__}, expected "
+        f"{'/'.join(t.__name__ for t in allowed)}"
+        for fname, allowed in types.items()
+        if fname in entry and (
+            not isinstance(entry[fname], allowed)
+            or (isinstance(entry[fname], bool) and bool not in allowed)
+        )
+    ]
+
+
 def validate_log(path: str | os.PathLike) -> list[str]:
     """Validate every line of a campaign log against the record schema.
 
@@ -786,17 +903,18 @@ def validate_log(path: str | os.PathLike) -> list[str]:
                 errors.append(f"line {lineno}: unknown kind {kind!r}")
                 continue
             n_records += 1
-            for fname, types in _RECORD_FIELD_TYPES.items():
-                if fname not in entry:
-                    errors.append(f"line {lineno}: missing field {fname!r}")
-                elif not isinstance(entry[fname], types) or (
-                    isinstance(entry[fname], bool) and bool not in types
-                ):
-                    errors.append(
-                        f"line {lineno}: field {fname!r} has "
-                        f"{type(entry[fname]).__name__}, expected "
-                        f"{'/'.join(t.__name__ for t in types)}"
-                    )
+            errors += [
+                f"line {lineno}: missing field {fname!r}"
+                for fname in _RECORD_FIELD_TYPES if fname not in entry
+            ]
+            errors += _type_errors(
+                lineno, entry, {**_RECORD_FIELD_TYPES, **_ADDED_FIELD_TYPES}
+            )
+            if isinstance(entry.get("recovery"), dict):
+                errors += _type_errors(
+                    lineno, entry["recovery"], _ADDED_RECOVERY_FIELD_TYPES,
+                    "recovery.",
+                )
             status = entry.get("status")
             if isinstance(status, str) and status not in RECORD_STATUSES:
                 errors.append(

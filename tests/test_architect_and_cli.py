@@ -163,23 +163,29 @@ class TestPortfolioCommand:
 
 
 class TestRecoverCommand:
-    def test_sweep_honors_max_concurrent(self, capsys):
-        """--max-concurrent reaches the sweep's nominal synthesis."""
-        import json
-
+    def test_sweep_honors_max_concurrent(self, tmp_path):
+        """The recovery sweep grid's max_concurrent reaches its nominal
+        synthesis: a fixed arrival lands at that fraction of the
+        max_concurrent=1 schedule's makespan."""
         from repro.assay.catalog import build_assay
         from repro.pipeline.context import SynthesisContext
         from repro.pipeline.stages import BindStage, ScheduleStage
+        from repro.workload.campaign import read_log
 
         graph, binding = build_assay("pcr")
         context = SynthesisContext(graph=graph, explicit_binding=binding)
         BindStage().run(context)
         ScheduleStage(max_concurrent_ops=1).run(context)
-        main(["recover", "--sweep", "--protocol", "pcr", "--fast", "--json",
-              "--max-concurrent", "1", "--fault-time", "0.5",
-              "--target", "pending-module"])
-        (record,) = json.loads(capsys.readouterr().out)["scenarios"]
-        assert record["fault_time_s"] == 0.5 * context.schedule.makespan
+        config = tmp_path / "sweep.toml"
+        config.write_text(
+            '[campaign]\nname = "sweep"\nmax_concurrent = 1\n\n'
+            '[[grid]]\ngenerators = ["pcr"]\nfault_models = ["permanent"]\n'
+            'arrivals = ["0.5"]\n'
+        )
+        log = tmp_path / "sweep.jsonl"
+        assert main(["campaign", str(config), "--log", str(log)]) == 0
+        (record,) = read_log(log)[1]
+        assert record.recovery["fault_time_s"] == 0.5 * context.schedule.makespan
 
 
 class TestBatchCommand:

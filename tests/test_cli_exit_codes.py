@@ -135,15 +135,6 @@ class TestRealUsageErrors:
         assert code == EXIT_USAGE
         assert "unknown fault pattern" in capsys.readouterr().err
 
-    def test_journal_without_sweep(self, capsys):
-        code, _ = run_cli(["recover", "--journal", "j.jsonl"])
-        assert code == EXIT_USAGE
-        assert "--sweep" in capsys.readouterr().err
-
-    def test_resume_without_sweep(self):
-        code, _ = run_cli(["recover", "--resume", "j.jsonl"])
-        assert code == EXIT_USAGE
-
     def test_resume_from_missing_journal(self, tmp_path, capsys):
         # Pointing --resume at a nonexistent path is a flag error (2),
         # not a journal-integrity error (3).
@@ -153,9 +144,32 @@ class TestRealUsageErrors:
         assert code == EXIT_USAGE
         assert "not found" in capsys.readouterr().err
 
-    def test_cell_with_sweep(self, capsys):
-        code, _ = run_cli(["recover", "--sweep", "--cell", "1", "1"])
+    def test_recover_sweep_flags_are_gone(self, capsys):
+        # The recovery sweep is a campaign grid now
+        # (examples/campaigns/recovery-sweep.toml); its flags are
+        # unknown to `recover`.
+        for flags in (["--sweep"], ["--jobs", "2"], ["--journal", "j.jsonl"],
+                      ["--resume", "j.jsonl"], ["--task-timeout", "9"],
+                      ["--max-retries", "1"]):
+            code, _ = run_cli(["recover", *flags])
+            assert code == EXIT_USAGE
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--max-parked", "0"],
+            ["flow", "--max-concurrent", "0"],
+            ["batch", "--max-parked", "-1", "--json"],
+        ],
+    )
+    def test_bound_below_one(self, capsys, argv):
+        # Rejected when the spec is built, before any scenario runs.
+        code, _ = run_cli(argv)
         assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert "must be >= 1" in err
+        assert out == ""
 
     def test_fault_time_out_of_range(self):
         code, _ = run_cli(["recover", "--fault-time", "1.5"])
@@ -269,6 +283,32 @@ class TestCampaignUsageErrors:
         code, _ = run_cli(["campaign", str(p)])
         assert code == EXIT_USAGE
         assert "unknown protocol" in capsys.readouterr().err
+
+    def test_bound_below_one_exits_2_before_any_unit(self, tmp_path, capsys):
+        p = tmp_path / "c.toml"
+        p.write_text(
+            '[campaign]\nname = "x"\nmax_parked = 0\n\n'
+            '[[grid]]\ngenerators = ["pcr"]\n'
+        )
+        log = tmp_path / "c.jsonl"
+        code, _ = run_cli(["campaign", str(p), "--log", str(log)])
+        assert code == EXIT_USAGE
+        assert "max_parked must be >= 1" in capsys.readouterr().err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("flag", ["--journal", "--resume"])
+    def test_log_that_is_the_journal_exits_2(self, tmp_path, flag):
+        # Opening the log truncates it; were it the journal, a resume
+        # would find nothing and recompute every scenario.
+        p = tmp_path / "c.toml"
+        p.write_text('[campaign]\nname = "x"\n\n[[grid]]\ngenerators = ["pcr"]\n')
+        journal = tmp_path / "j.jsonl"
+        journal.write_text("kept\n")
+        code, _ = run_cli(
+            ["campaign", str(p), "--log", str(journal), flag, str(journal)]
+        )
+        assert code == EXIT_USAGE
+        assert journal.read_text() == "kept\n"
 
     def test_validate_missing_log_exits_2(self, tmp_path):
         code, _ = run_cli(

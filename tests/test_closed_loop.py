@@ -11,12 +11,14 @@ The acceptance properties this file pins:
   abort a fault-free run;
 * a fault every probe missed is caught by the stuck-droplet watchdog
   after the verdict replay exposes it;
-* ladder traces follow the rung order and the Monte-Carlo sweep's
-  closed-loop records are jobs-invariant.
+* ladder traces follow the rung order, a direct ``engine.recover``
+  ends a single fault as the oracle loop does, and the recovery sweep
+  grid's closed-loop records are jobs-invariant.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -32,13 +34,14 @@ from repro.placement.sa_placer import SimulatedAnnealingPlacer
 from repro.recovery import (
     RECOVERY_RUNGS,
     ClosedLoopController,
-    MonteCarloRecoverySweep,
     OnlineRecoveryEngine,
 )
 from repro.recovery.engine import pick_fault_cell
 from repro.synthesis.flow import SynthesisFlow
 from repro.testing import CapacitiveSensor
-from repro.util.errors import RecoveryError
+from repro.util.errors import RecoveryError, UsageError
+from repro.util.rng import derive_seed, ensure_rng
+from repro.workload.campaign import CampaignConfig, CampaignRunner, read_log
 
 #: Wall-clock fields: everything else in the outcome dicts must be
 #: bit-identical between the oracle and the zero-noise closed loop.
@@ -223,54 +226,103 @@ class TestLadder:
         assert outcome.detection_latencies == (0.0,)
 
 
-class TestSweepClosedLoop:
-    def test_closed_loop_records_are_jobs_invariant(self):
-        """Structural record fields must be identical for any --jobs;
-        only wall-clock timings may differ."""
-        def run(jobs: int):
-            sweep = MonteCarloRecoverySweep(
-                SynthesisSpec(fast=True, seed=13),
-                assays=("pcr",),
-                time_fractions=(0.5,),
-                targets=("street", "pending-module"),
-                detection="closed-loop",
-                fault_model="permanent",
-                sensor_fpr=0.05,
-                sensor_fnr=0.1,
-            )
-            return sweep.run(jobs=jobs)
+@lru_cache(maxsize=None)
+def _sweep_routed(assay: str):
+    """*assay* synthesized as the Monte-Carlo recovery sweep at seed 11
+    synthesized it (its unit key was the assay name)."""
+    seed = derive_seed("11", "synthesis", assay)
+    return SynthesisSpec(assay=assay, route=True, seed=seed).run()
 
-        serial, parallel = run(1), run(2)
-        stripped = [
-            [
-                {
-                    k: v
-                    for k, v in r.to_dict().items()
-                    if k not in _TIMING_KEYS
-                }
-                for r in report.records
-            ]
-            for report in (serial, parallel)
-        ]
-        assert stripped[0] == stripped[1]
-        assert serial.rung_frequencies == parallel.rung_frequencies
 
-    def test_rung_frequencies_cover_recovered_records(self):
-        sweep = MonteCarloRecoverySweep(
-            SynthesisSpec(fast=True, seed=13),
-            assays=("pcr",),
-            time_fractions=(0.5,),
-            targets=("street",),
-            detection="closed-loop",
-            fault_model="intermittent",
+class TestDirectRecoveryParity:
+    @pytest.mark.parametrize("fraction", (0.25, 0.5, 0.75))
+    @pytest.mark.parametrize("target", ("pending-module", "street"))
+    @pytest.mark.parametrize("assay", ("pcr", "ivd"))
+    def test_engine_recover_matches_the_oracle_loop(self, assay, target, fraction):
+        """On the recovery sweep's own seeds, the oracle closed loop ends
+        a single permanent fault as one direct ``engine.recover`` call
+        (the re-place rung) does, or, where that call fails, its ladder
+        fails the same re-place first and escalates — so scenario grids
+        need only the loop."""
+        result = _sweep_routed(assay)
+        engine = _engine()
+        t = fraction * result.makespan
+        checkpoint = engine.checkpoint_of(result, t)
+
+        def scenario_stream():
+            """The sweep's scenario rng, advanced past the cell pick."""
+            key = f"{assay}|{fraction:g}|{target}"
+            rng = ensure_rng(derive_seed("11", "scenario", key))
+            return rng, pick_fault_cell(result, checkpoint, target, rng=rng)
+
+        rng, cell = scenario_stream()
+        direct = engine.recover(result, [cell], t, seed=rng, checkpoint=checkpoint)
+        rng, _ = scenario_stream()
+        loop = ClosedLoopController(engine=_engine()).run(
+            result, (FaultEvent(t, cell, FAIL),), seed=rng, mode="oracle"
         )
-        report = sweep.run(jobs=1)
-        recovered = sum(1 for r in report.records if r.recovered)
-        assert sum(report.rung_frequencies.values()) == recovered
-        assert set(report.rung_frequencies) <= set(RECOVERY_RUNGS) | {"abort"}
+        (recovery,) = loop.recoveries
+        if direct.recovered:
+            assert (
+                loop.completed, loop.reason, loop.makespan_penalty_s,
+                recovery.rerouted_nets, recovery.reused_epochs,
+            ) == (
+                True, None, direct.makespan_penalty_s,
+                direct.rerouted_nets, direct.reused_epochs,
+            )
+        else:
+            steps = {step.rung: step for step in recovery.ladder_trace}
+            assert not steps["replace"].succeeded
+            assert steps["replace"].reason == direct.reason
+            assert not loop.completed or recovery.rung == "resynth"
+
+
+def _recovery_grid(tmp_path, log: str, jobs: int = 1, **grid) -> list:
+    """Run a pcr recovery grid at seed 13; the log's records."""
+    config = CampaignConfig.from_dict({
+        "campaign": {"name": "sweep", "seed": 13},
+        "grid": [{"generators": ["pcr"], "arrivals": ["0.5"], **grid}],
+    })
+    CampaignRunner(config).run(tmp_path / log, jobs=jobs)
+    return read_log(tmp_path / log)[1]
+
+
+class TestSweepClosedLoop:
+    """The recovery sweep grid under lossy sensing, as a campaign."""
+
+    def test_closed_loop_records_are_jobs_invariant(self, tmp_path):
+        """Records are identical for any --jobs, noisy sensor included."""
+        grid = {
+            "fault_models": ["permanent"],
+            "targets": ["street", "pending-module"],
+            "sensors": ["fpr=0.05,fnr=0.1"],
+        }
+        _recovery_grid(tmp_path, "serial.jsonl", jobs=1, **grid)
+        _recovery_grid(tmp_path, "parallel.jsonl", jobs=2, **grid)
+        serial = (tmp_path / "serial.jsonl").read_bytes()
+        assert serial == (tmp_path / "parallel.jsonl").read_bytes()
+
+    def test_rung_frequencies_cover_recovered_records(self, tmp_path):
+        records = _recovery_grid(
+            tmp_path, "c.jsonl", fault_models=["intermittent"],
+            targets=["street"], sensors=["ideal", "fpr=0.05,fnr=0.1"],
+        )
+        rungs = Counter(
+            r.recovery["final_rung"] for r in records
+            if r.recovery["final_rung"] is not None
+        )
+        assert sum(rungs.values()) == sum(1 for r in records if r.completed)
+        assert set(rungs) <= set(RECOVERY_RUNGS) | {"abort"}
 
     def test_invalid_axes_rejected(self):
-        with pytest.raises(RecoveryError, match="fault model"):
-            MonteCarloRecoverySweep(SynthesisSpec(), fault_model="meteor")
-        with pytest.raises(RecoveryError, match="detection"):
-            MonteCarloRecoverySweep(SynthesisSpec(), detection="telepathy")
+        for grid, match in (
+            ({"fault_models": ["meteor"]}, "unknown fault model"),
+            ({"targets": ["telepathy"]}, "unknown fault target"),
+            ({"arrivals": ["1.0"]}, "bad arrival '1.0'"),
+            ({"arrivals": ["soon"]}, "bad arrival 'soon'"),
+        ):
+            with pytest.raises(UsageError, match=match):
+                CampaignConfig.from_dict({
+                    "campaign": {"name": "x"},
+                    "grid": [{"generators": ["pcr"], **grid}],
+                })

@@ -1,12 +1,13 @@
-"""Checkpoint/resume round-trips and sweep determinism.
+"""Checkpoint/resume round-trips and recovery-sweep determinism.
 
 The core invariant of the online-recovery design: resumption is
 deterministic replay, so checkpointing at *any* instant and resuming
 with no new fault must reproduce the original simulation trace **bit
 for bit** — same events (droplet ids included), same realized finishes,
 same transport accounting. Property-tested over random checkpoint
-instants; plus the Monte-Carlo sweep's jobs-invariance (records are
-identical for any worker count, timing fields excepted).
+instants; plus the Monte-Carlo recovery sweep — a campaign grid over
+assays x fault arrivals x fault targets — whose log is byte-identical
+for any worker count, grid order and resume split.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assay.catalog import build_assay
-from repro.pipeline import SynthesisSpec
 from repro.placement.annealer import AnnealingParams
 from repro.placement.sa_placer import SimulatedAnnealingPlacer
-from repro.recovery import MonteCarloRecoverySweep
 from repro.sim.engine import BiochipSimulator
 from repro.synthesis.flow import SynthesisFlow
-from repro.util.errors import SimulationError
+from repro.util.errors import SimulationError, UsageError
+from repro.workload.campaign import (
+    CAMPAIGN_JOURNAL_KIND,
+    CampaignConfig,
+    CampaignRunner,
+)
 
 
 @pytest.fixture(scope="module", params=["pcr", "dilution"])
@@ -268,132 +272,121 @@ class TestCheckpointValidation:
 
 # -- sweep determinism across --jobs ------------------------------------------
 
-_TIMING_KEYS = ("replace_s", "reroute_s", "recovery_s")
+# -- the recovery sweep grid, declared as a campaign ---------------------------
 
 
-def _stable(report_dict: dict) -> dict:
-    """The deterministic portion of a sweep report (timings stripped)."""
-    out = {k: v for k, v in report_dict.items() if k not in ("wall_s", "jobs")}
-    out["mean_recovery_s"] = None
-    out["scenarios"] = [
-        {k: v for k, v in rec.items() if k not in _TIMING_KEYS}
-        for rec in report_dict["scenarios"]
-    ]
-    return out
+def sweep_config(
+    assays=("pcr",), arrivals=("0.5",), targets=("pending-module", "street")
+) -> CampaignConfig:
+    """A Monte-Carlo recovery grid: one permanent fault per scenario."""
+    return CampaignConfig.from_dict({
+        "campaign": {"name": "sweep", "seed": 11},
+        "grid": [{
+            "generators": list(assays),
+            "fault_models": ["permanent"],
+            "arrivals": list(arrivals),
+            "targets": list(targets),
+        }],
+    })
 
 
-def test_sweep_results_identical_across_jobs():
-    def run(jobs: int) -> dict:
-        sweep = MonteCarloRecoverySweep(
-            SynthesisSpec(fast=True, seed=11),
-            assays=("pcr", "dilution"),
-            time_fractions=(0.5,),
-            targets=("pending-module",),
-        )
-        return sweep.run(jobs=jobs).to_dict()
+def run_sweep(tmp_path, config=None, log="sweep.jsonl", **kwargs):
+    """Run *config* (default :func:`sweep_config`); (report, log bytes)."""
+    path = tmp_path / log
+    report = CampaignRunner(config or sweep_config()).run(path, **kwargs)
+    return report, path.read_bytes()
 
-    serial = _stable(run(1))
-    parallel = _stable(run(2))
+
+def test_sweep_results_identical_across_jobs(tmp_path):
+    config = sweep_config(assays=("pcr", "dilution"), targets=("pending-module",))
+    _, serial = run_sweep(tmp_path, config, "serial.jsonl", jobs=1)
+    _, parallel = run_sweep(tmp_path, config, "parallel.jsonl", jobs=2)
     assert serial == parallel
 
 
 # -- sweep journaling, resume, and structured failures ------------------------
 
 
-def small_sweep(assays=("pcr",)):
-    return MonteCarloRecoverySweep(
-        SynthesisSpec(fast=True, seed=11),
-        assays=assays,
-        time_fractions=(0.5,),
-        targets=("pending-module", "street"),
-    )
-
-
 def test_sweep_journal_and_full_resume_bit_identical(tmp_path):
     from repro.exec import load_journal
-    from repro.recovery.sweep import JOURNAL_KIND
 
-    journal = tmp_path / "sweep.jsonl"
-    original = small_sweep().run(jobs=1, journal_path=journal)
-    assert set(load_journal(journal, kind=JOURNAL_KIND)) == {
-        "pcr|0.5|pending-module", "pcr|0.5|street",
+    journal = tmp_path / "sweep.journal"
+    _, original = run_sweep(tmp_path, journal_path=journal)
+    assert set(load_journal(journal, kind=CAMPAIGN_JOURNAL_KIND)) == {
+        "pcr|auto|permanent|ideal|event|arrival=0.5",
+        "pcr|auto|permanent|ideal|event|arrival=0.5|target=street",
     }
-    resumed = small_sweep().run(jobs=1, resume_from=journal)
-    assert _stable(resumed.to_dict()) == _stable(original.to_dict())
+    report, resumed = run_sweep(tmp_path, log="resumed.jsonl", resume_from=journal)
+    assert report.resumed == 2
+    assert resumed == original
 
 
 def test_sweep_partial_resume_preserves_the_seed_stream(tmp_path):
     # Only the first scenario is journaled; the recomputed rest must
     # draw exactly the seeds an uninterrupted run would (each seed is
     # derived from its own scenario key, whatever the resume skips).
-    journal = tmp_path / "sweep.jsonl"
-    original = small_sweep().run(jobs=1, journal_path=journal)
+    journal = tmp_path / "sweep.journal"
+    _, original = run_sweep(tmp_path, journal_path=journal)
     lines = journal.read_text().splitlines(keepends=True)
-    partial = tmp_path / "partial.jsonl"
+    partial = tmp_path / "partial.journal"
     partial.write_text(lines[0])
-    resumed = small_sweep().run(jobs=1, resume_from=partial)
-    assert _stable(resumed.to_dict()) == _stable(original.to_dict())
+    report, resumed = run_sweep(tmp_path, log="resumed.jsonl", resume_from=partial)
+    assert report.resumed == 1
+    assert resumed == original
 
 
-def test_sweep_crashed_block_yields_structured_failure_records():
+def test_sweep_crashed_block_yields_structured_failure_records(tmp_path):
     from repro.exec import STATUS_CRASHED
     from repro.testing.chaos import ChaosPolicy
 
-    # The pcr block fails with a task-scoped unpicklable exception on
+    # The pcr unit fails with a task-scoped unpicklable exception on
     # its only attempt; its scenarios must appear as keyed failure
-    # records while the dilution block is unharmed.
+    # records while the dilution unit is unharmed.
     chaos = ChaosPolicy.explicit_plan({(0, 0): "unpicklable"})
-    report = small_sweep(assays=("pcr", "dilution")).run(
-        jobs=2, max_retries=0, chaos=chaos
+    report, _ = run_sweep(
+        tmp_path, sweep_config(assays=("pcr", "dilution")),
+        jobs=2, max_retries=0, chaos=chaos,
     )
     assert len(report.records) == 4
-    failed = [r for r in report.records if r.assay == "pcr"]
+    failed = [r for r in report.records if r.spec == "pcr"]
     assert len(failed) == 2
     for r in failed:
         assert r.status == STATUS_CRASHED
-        assert not r.recovered
-        assert r.reason
-        assert r.key in ("pcr|0.5|pending-module", "pcr|0.5|street")
-    assert all(r.status == "ok" for r in report.records if r.assay == "dilution")
-    assert "FAILED" in report.table_text()
-
-
-def test_sweep_reordered_grid_reproduces_every_record():
-    # Seeds are derived from scenario keys, not grid positions, so
-    # reversing the arrivals changes no record. ``upstream_reused``
-    # alone is positional by definition: it marks every scenario but
-    # the first of its assay's block.
-    def by_key(fractions):
-        sweep = MonteCarloRecoverySweep(
-            SynthesisSpec(fast=True, seed=11),
-            assays=("pcr",),
-            time_fractions=fractions,
-            targets=("pending-module", "street"),
+        assert not r.completed
+        assert r.error
+        assert r.key in (
+            "pcr|auto|permanent|ideal|event|arrival=0.5",
+            "pcr|auto|permanent|ideal|event|arrival=0.5|target=street",
         )
+    assert all(r.ok for r in report.records if r.spec == "dilution")
+    assert report.status_counts == {"crashed": 2, "ok": 2}
+
+
+def test_sweep_reordered_grid_reproduces_every_record(tmp_path):
+    # Seeds are derived from scenario keys, not grid positions, so
+    # reversing the arrivals changes no record. ``index`` alone is
+    # positional by definition: it is the record's place in the log.
+    def by_key(arrivals):
+        report, _ = run_sweep(tmp_path, sweep_config(arrivals=arrivals))
         return {
-            r.key: {
-                k: v for k, v in r.to_dict().items()
-                if k not in _TIMING_KEYS and k != "upstream_reused"
-            }
-            for r in sweep.run(jobs=1).records
+            r.key: {k: v for k, v in r.to_dict().items() if k != "index"}
+            for r in report.records
         }
 
-    assert by_key((0.25, 0.5)) == by_key((0.5, 0.25))
+    forward = by_key(("0.25", "0.5"))
+    assert len(forward) == 4
+    assert forward == by_key(("0.5", "0.25"))
 
 
 def test_sweep_rejects_duplicate_scenario_keys():
-    from repro.util.errors import RecoveryError
-
     # Two records under one key would collapse to one journal line, so
-    # a resume could not reproduce the run.
-    with pytest.raises(RecoveryError, match=r"duplicate .*'pcr\|0.5\|street'"):
-        MonteCarloRecoverySweep(
-            SynthesisSpec(),
-            assays=("pcr",), time_fractions=(0.5, 0.5), targets=("street",)
-        )
+    # a resume could not reproduce the run; "0.50" canonicalizes to
+    # the arrival "0.5".
+    with pytest.raises(UsageError, match=r"'pcr\|.*\|arrival=0.5' already declared"):
+        sweep_config(arrivals=("0.5", "0.50"))
 
 
-def test_sweep_failed_nominal_synthesis_is_infeasible(monkeypatch):
+def test_sweep_failed_nominal_synthesis_is_infeasible(tmp_path, monkeypatch):
     import repro.pipeline.spec as spec_module
     from repro.util.errors import PlacementError
 
@@ -404,27 +397,26 @@ def test_sweep_failed_nominal_synthesis_is_infeasible(monkeypatch):
     monkeypatch.setattr(
         spec_module, "build_default_pipeline", lambda **kwargs: Unplaceable()
     )
-    report = small_sweep().run(jobs=1)
+    report, _ = run_sweep(tmp_path, jobs=1)
     assert [r.status for r in report.records] == ["infeasible", "infeasible"]
     for r in report.records:
-        assert not r.recovered
-        assert r.reason.startswith("nominal synthesis failed: PlacementError")
+        assert not r.completed
+        assert r.synthesis is None
+        assert r.error == "PlacementError: no room on the array"
 
 
-def test_sweep_failed_checkpoint_is_infeasible(monkeypatch):
-    import repro.recovery.sweep as sweep_module
+def test_sweep_failed_checkpoint_is_infeasible(tmp_path, monkeypatch):
+    from repro.recovery import OnlineRecoveryEngine
     from repro.util.errors import RecoveryError
 
     def no_checkpoint(self, result, fault_time, **kwargs):
+        assert fault_time > 0
         raise RecoveryError("replay stalled before the fault")
 
-    monkeypatch.setattr(
-        sweep_module.OnlineRecoveryEngine, "checkpoint_of", no_checkpoint
-    )
-    report = small_sweep().run(jobs=1)
+    monkeypatch.setattr(OnlineRecoveryEngine, "checkpoint_of", no_checkpoint)
+    report, _ = run_sweep(tmp_path, jobs=1)
     assert [r.status for r in report.records] == ["infeasible", "infeasible"]
-    assert [r.upstream_reused for r in report.records] == [False, True]
     for r in report.records:
-        assert not r.recovered
-        assert r.fault_time_s > 0
-        assert r.reason == "RecoveryError: replay stalled before the fault"
+        assert not r.completed
+        assert r.synthesis is not None
+        assert r.error == "RecoveryError: replay stalled before the fault"

@@ -1,6 +1,6 @@
 """SynthesisSpec builds exactly the synthesis a hand-assembled flow runs.
 
-Every entry point (CLI commands, portfolio instances, batch, sweep and
+Every entry point (CLI commands, portfolio instances, batch and
 campaign units) now builds its pipeline from a spec, so each case below
 checks ``spec.run()`` against the ``SynthesisFlow`` the entry points
 used to assemble themselves: same placement origins and rotations, same
@@ -120,3 +120,14 @@ def test_presets_follow_fast():
 def test_bad_assay_rejected_at_construction(assay):
     with pytest.raises(UsageError):
         SynthesisSpec(assay=assay)
+
+
+@pytest.mark.parametrize("bound", ["max_parked", "max_concurrent"])
+def test_bound_below_one_rejected_at_construction(bound):
+    # The scheduler would only raise inside each unit, turning a typo
+    # into a grid of infeasible records.
+    for value in (0, -1):
+        with pytest.raises(UsageError, match=f"{bound} must be >= 1, got {value}"):
+            SynthesisSpec(**{bound: value})
+    assert getattr(SynthesisSpec(**{bound: 1}), bound) == 1
+    assert getattr(SynthesisSpec(**{bound: None}), bound) is None

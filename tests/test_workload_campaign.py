@@ -17,6 +17,7 @@ from repro.workload.campaign import (
     SensorSpec,
     derive_seed,
     parse_array,
+    parse_arrival,
     read_log,
     validate_log,
 )
@@ -131,6 +132,37 @@ class TestExpansion:
         b = [s.key for s in tiny_config().expand()]
         assert a == b
 
+    def test_default_axes_add_nothing_to_keys(self):
+        # Declaring the default arrival and target is the same grid as
+        # declaring neither: same keys, so the same derived seeds.
+        grid = {**TINY["grid"][0], "arrivals": ["random"],
+                "targets": ["pending-module"]}
+        explicit = CampaignConfig.from_dict({**TINY, "grid": [grid]})
+        assert [s.key for s in explicit.expand()] == [
+            s.key for s in tiny_config().expand()
+        ]
+
+    def test_fault_axes_extend_keys_and_skip_fault_free(self):
+        cfg = CampaignConfig.from_dict({
+            "campaign": {"name": "x"},
+            "grid": [{
+                "generators": ["pcr"],
+                "fault_models": ["none", "permanent"],
+                "arrivals": ["random", "0.250"],
+                "targets": ["pending-module", "street"],
+            }],
+        })
+        scenarios = cfg.expand()
+        assert [s.key for s in scenarios] == [
+            "pcr|auto|none|ideal|event",
+            "pcr|auto|permanent|ideal|event",
+            "pcr|auto|permanent|ideal|event|target=street",
+            "pcr|auto|permanent|ideal|event|arrival=0.25",
+            "pcr|auto|permanent|ideal|event|arrival=0.25|target=street",
+        ]
+        assert (scenarios[0].arrival, scenarios[0].target) == (None, None)
+        assert (scenarios[4].arrival, scenarios[4].target) == ("0.25", "street")
+
 
 class TestSeedDerivation:
     def test_contract_is_stable(self):
@@ -161,6 +193,14 @@ class TestHelpers:
             parse_array("12")
         with pytest.raises(UsageError):
             parse_array("0x8")
+
+    def test_parse_arrival(self):
+        assert parse_arrival("random") == "random"
+        assert parse_arrival("0.5") == parse_arrival("0.50") == "0.5"
+        assert parse_arrival("0") == parse_arrival("-0") == "0"
+        for bad in ("1.0", "1", "-0.1", "soon", "nan", "inf", ""):
+            with pytest.raises(UsageError, match="bad arrival"):
+                parse_arrival(bad)
 
     def test_sensor_spec_parse(self):
         assert SensorSpec.parse("ideal").key == "ideal"
@@ -222,6 +262,29 @@ class TestRunnerEndToEnd:
         assert report.resumed == 2
         assert resumed.read_bytes() == full.read_bytes()
 
+    def test_records_carry_the_fault_fields(self, tmp_path):
+        log = tmp_path / "c.jsonl"
+        CampaignRunner(tiny_config()).run(log, jobs=1)
+        fault_free, faulted = read_log(log)[1][:2]
+        assert (fault_free.arrival, fault_free.target) == (None, None)
+        assert fault_free.recovery["fault_time_s"] is None
+        assert fault_free.recovery["fault_cells"] == []
+        assert (faulted.arrival, faulted.target) == ("random", "pending-module")
+        makespan = faulted.synthesis["makespan_s"]
+        assert 0.3 * makespan <= faulted.recovery["fault_time_s"] <= 0.7 * makespan
+        assert len(faulted.recovery["fault_cells"]) == 1
+        assert faulted.recovery["detection_latency_s"] == 0.0
+
+    @pytest.mark.parametrize("journal_arg", ["journal_path", "resume_from"])
+    def test_log_that_is_the_journal_is_rejected(self, tmp_path, journal_arg):
+        journal = tmp_path / "j.jsonl"
+        journal.write_text("kept\n")
+        with pytest.raises(UsageError, match="also the journal"):
+            CampaignRunner(tiny_config()).run(
+                journal, jobs=1, **{journal_arg: tmp_path / "." / "j.jsonl"}
+            )
+        assert journal.read_text() == "kept\n"
+
     def test_infeasible_scenarios_still_logged(self, tmp_path):
         # An 8x8 core cannot hold gen:mix-tree modules side by side;
         # synthesis fails, yet the log still carries one terminal
@@ -282,6 +345,36 @@ class TestLogValidation:
         lines[1] = json.dumps(entry, sort_keys=True)
         log.write_text("\n".join(lines) + "\n")
         assert any("field 'seed'" in e for e in validate_log(log))
+
+    def rewrite_records(self, log, edit):
+        lines = log.read_text().splitlines()
+        for i in range(1, len(lines)):
+            entry = json.loads(lines[i])
+            edit(entry)
+            lines[i] = json.dumps(entry, sort_keys=True)
+        log.write_text("\n".join(lines) + "\n")
+
+    def test_logs_without_added_fields_stay_valid(self, tmp_path):
+        def strip(entry):
+            del entry["arrival"], entry["target"]
+            for k in ("fault_time_s", "fault_cells", "rerouted_nets",
+                      "reused_epochs", "detection_latency_s"):
+                del entry["recovery"][k]
+
+        log = self.run_tiny(tmp_path)
+        self.rewrite_records(log, strip)
+        assert validate_log(log) == []
+
+    def test_added_field_types_checked(self, tmp_path):
+        def corrupt(entry):
+            entry["arrival"] = 0.5
+            entry["recovery"]["fault_cells"] = "7,5"
+
+        log = self.run_tiny(tmp_path)
+        self.rewrite_records(log, corrupt)
+        problems = validate_log(log)
+        assert any("field 'arrival' has float" in e for e in problems)
+        assert any("field 'recovery.fault_cells' has str" in e for e in problems)
 
     def test_duplicate_key_detected(self, tmp_path):
         log = self.run_tiny(tmp_path)
